@@ -34,9 +34,13 @@
 //	}
 //
 // One admitted request, any number of credit-flow-controlled server-push
-// items (DESIGN.md §10); the component implements StreamerComponent. See
-// examples/ for complete programs, DESIGN.md §7 for the client-binding
-// model, and DESIGN.md for the architecture.
+// items (DESIGN.md §10); the component implements StreamerComponent.
+//
+// ClientOf gives the same handle typed request and response values without
+// []any boxing (DESIGN.md §8). Both shapes run one call implementation: an
+// untyped Client is a TypedClient over []any, and a Future is a
+// TypedFuture[[]any, []any]. See examples/ for complete programs, DESIGN.md
+// §7 for the client-binding model, and DESIGN.md for the architecture.
 package aas
 
 import (
@@ -76,7 +80,8 @@ type Options = core.Options
 type (
 	// Client is a compiled, context-aware binding handle to one component.
 	Client = core.Client
-	// Future is one in-flight asynchronous call (Client.Async).
+	// Future is one in-flight asynchronous call (Client.Async), the
+	// TypedFuture[[]any, []any] of the one call path.
 	Future = core.Future
 	// CallOption derives per-principal/per-deadline handles (Client.With).
 	CallOption = core.CallOption
@@ -173,7 +178,7 @@ var (
 )
 
 // WithPrincipal stamps every call of the derived handle with a security
-// principal (replaces the deprecated System.CallAs).
+// principal, carried end-to-end across cluster links.
 func WithPrincipal(principal string) CallOption { return core.WithPrincipal(principal) }
 
 // WithDeadline gives every call of the derived handle a deadline budget used

@@ -100,6 +100,65 @@ func TestTypedAsyncAllocs(t *testing.T) {
 	}
 }
 
+// TestClientCallAllocs pins the synchronous untyped call against the bench
+// Store at 5 allocations (measured: 5 — the variadic argument list, the
+// component's result list and its boxed value, that list boxed into the
+// aspect chain's result, and the aspect-invocation frame). Client.Call runs
+// the typed call path over []any, so the pooled envelope, reply channel,
+// waiter slot and timer cost nothing per call.
+func TestClientCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	sys, _ := startBenchSystem(t)
+	store := sys.Client("Store")
+	ctx := context.Background()
+	if _, err := store.Call(ctx, "put", "k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if _, err := store.Call(ctx, "get", "k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := minAllocsPerRun(5, 200, func() {
+		if _, err := store.Call(ctx, "get", "k"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("untyped call allocates %.1f/op, budget 5", allocs)
+	}
+}
+
+// TestClientAsyncAllocs pins the asynchronous untyped call against the
+// bench Store at 13 allocations (measured: 13). Like the typed async shape,
+// each future carries a fresh envelope, channel and fallback timer.
+func TestClientAsyncAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	sys, _ := startBenchSystem(t)
+	store := sys.Client("Store")
+	ctx := context.Background()
+	if _, err := store.Call(ctx, "put", "k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if _, err := store.Async(ctx, "get", "k").Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := minAllocsPerRun(5, 200, func() {
+		if _, err := store.Async(ctx, "get", "k").Wait(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 13 {
+		t.Fatalf("untyped async call allocates %.1f/op, budget 13", allocs)
+	}
+}
+
 // TestAdmissionEstimatorAllocs pins the admission estimator's hot methods —
 // one Observe per served call, one Admit per deadline-budgeted call — at
 // zero allocations.

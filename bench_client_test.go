@@ -1,6 +1,5 @@
 // Benchmarks for the compiled client-binding call surface (DESIGN.md §7):
-// the synchronous handle call vs the deprecated System.Call shim (the handle
-// must be no slower — it skips per-call name resolution), the parallel
+// the synchronous handle call vs a per-call handle fetch, the parallel
 // platform edge, asynchronous fan-out, and deadline-carrying calls.
 package aas_test
 
@@ -13,9 +12,9 @@ import (
 )
 
 // BenchmarkClientCall is the steady-state hot path: one compiled handle,
-// sequential synchronous calls. Compare with BenchmarkE12_SystemCall (the
-// deprecated shim) — cached resolution must not be slower and must not add
-// allocations.
+// sequential synchronous calls. Compare with BenchmarkE12_SystemCall, which
+// fetches the handle per call — the held handle must not be slower and must
+// not add allocations.
 func BenchmarkClientCall(b *testing.B) {
 	sys, _ := startBenchSystem(b)
 	store := sys.Client("Store")

@@ -100,19 +100,19 @@ func startBenchClusterAt(b *testing.B, maxVer uint8, linger time.Duration) *aas.
 }
 
 // BenchmarkClusterParallelRemoteCall measures the bare cross-node path:
-// System.Call resolves the remote view, the gateway forwards over TCP, the
-// peer serves and the reply crosses back.
+// the client handle resolves the remote view, the gateway forwards over
+// TCP, the peer serves and the reply crosses back.
 func BenchmarkClusterParallelRemoteCall(b *testing.B) {
 	h := startBenchCluster(b)
 	sys := h.System("n1")
-	if _, err := sys.Call("Store", "get", "warm"); err != nil {
+	if _, err := sys.Client("Store").Call(context.Background(), "get", "warm"); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := sys.Call("Store", "get", "k"); err != nil {
+			if _, err := sys.Client("Store").Call(context.Background(), "get", "k"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -161,14 +161,14 @@ func benchClusterRemote(b *testing.B, h *aas.ClusterHarness) {
 func BenchmarkClusterParallelMediatedRemoteCall(b *testing.B) {
 	h := startBenchCluster(b)
 	sys := h.System("n1")
-	if _, err := sys.Call("Front", "fetch", "warm"); err != nil {
+	if _, err := sys.Client("Front").Call(context.Background(), "fetch", "warm"); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := sys.Call("Front", "fetch", "k"); err != nil {
+			if _, err := sys.Client("Front").Call(context.Background(), "fetch", "k"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -192,7 +192,7 @@ func BenchmarkClusterLiveMigration(b *testing.B) {
 				return
 			default:
 			}
-			_, _ = sys1.Call("Front", "fetch", fmt.Sprintf("k%d", i))
+			_, _ = sys1.Client("Front").Call(context.Background(), "fetch", fmt.Sprintf("k%d", i))
 		}
 	}()
 	systems := map[string]*aas.System{"n1": sys1, "n2": sys2}

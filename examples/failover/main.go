@@ -244,10 +244,11 @@ func clusterAct() {
 	defer rep.Stop()
 
 	// Put load through the stateful store.
+	front := h.System("n1").Client("Front")
 	completed := 0
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if out, err := h.System("n1").Call("Front", "fetch", key); err != nil || out[0] != key {
+		if out, err := front.Call(ctx, "fetch", key); err != nil || out[0] != key {
 			log.Fatalf("fetch %s: %v %v", key, out, err)
 		}
 		completed++
@@ -289,7 +290,7 @@ func clusterAct() {
 
 	// The follower promotes Store warm; service resumes with state intact.
 	for {
-		if out, err := h.System("n1").Call("Front", "fetch", "post-kill"); err == nil && out[0] == "post-kill" {
+		if out, err := front.Call(ctx, "fetch", "post-kill"); err == nil && out[0] == "post-kill" {
 			completed++
 			break
 		}
@@ -298,7 +299,7 @@ func clusterAct() {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	out, err := h.System(follower).Call("Store", "count")
+	out, err := h.System(follower).Client("Store").Call(ctx, "count")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestElasticSeedJoinConvergence(t *testing.T) {
 	}
 
 	// A remote call across a gossip-built link works like any other.
-	if out, err := h.System("n1").Call("Front", "fetch", "hello"); err != nil || out[0] != "hello" {
+	if out, err := h.System("n1").Client("Front").Call(context.Background(), "fetch", "hello"); err != nil || out[0] != "hello" {
 		t.Fatalf("call over gossip-discovered mesh: %v %v", out, err)
 	}
 
@@ -195,7 +195,7 @@ func TestElasticWarmStandbyFailover(t *testing.T) {
 				default:
 				}
 				token := fmt.Sprintf("c%d-%d", c, i)
-				if out, err := sys1.Call("Front", "fetch", token); err == nil && out[0] == token {
+				if out, err := sys1.Client("Front").Call(context.Background(), "fetch", token); err == nil && out[0] == token {
 					completed.Add(1)
 				} else {
 					t.Errorf("fetch %s: %v %v", token, out, err)
@@ -256,7 +256,7 @@ func TestElasticWarmStandbyFailover(t *testing.T) {
 	deadline = time.Now().Add(10 * time.Second)
 	for {
 		token := fmt.Sprintf("probe-%d", completed.Load())
-		if out, err := sys1.Call("Front", "fetch", token); err == nil && out[0] == token {
+		if out, err := sys1.Client("Front").Call(context.Background(), "fetch", token); err == nil && out[0] == token {
 			completed.Add(1)
 			break
 		}
@@ -272,7 +272,7 @@ func TestElasticWarmStandbyFailover(t *testing.T) {
 	// Zero mismatches: the restored counter equals every completed fetch —
 	// the pre-kill load survived through the standby, the post-kill probe
 	// landed on the promoted instance.
-	out, err := h.System(follower).Call("Store", "count")
+	out, err := h.System(follower).Client("Store").Call(context.Background(), "count")
 	if err != nil {
 		t.Fatalf("count after promotion: %v", err)
 	}
@@ -310,7 +310,7 @@ func TestElasticLossyFailoverEmitsStateLost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := h.System("n1").Call("Front", "fetch", "pre"); err != nil {
+	if _, err := h.System("n1").Client("Front").Call(context.Background(), "fetch", "pre"); err != nil {
 		t.Fatalf("pre-failure call: %v", err)
 	}
 
@@ -396,7 +396,7 @@ func TestElasticRebalanceAfterJoin(t *testing.T) {
 			}
 			svc := svcs[i%3]
 			token := fmt.Sprintf("t%d", i)
-			if out, err := h.System("n2").Call(svc, "ping", token); err != nil || out[0] != token {
+			if out, err := h.System("n2").Client(svc).Call(context.Background(), "ping", token); err != nil || out[0] != token {
 				errs.Add(1)
 				t.Errorf("%s ping: %v %v", svc, out, err)
 				return
@@ -426,7 +426,7 @@ func TestElasticRebalanceAfterJoin(t *testing.T) {
 	// Every node still answers for every service (location transparency
 	// after the moves).
 	for _, svc := range []string{"SvcA", "SvcB", "SvcC"} {
-		if out, err := h.System("n3").Call(svc, "ping", "final"); err != nil || out[0] != "final" {
+		if out, err := h.System("n3").Client(svc).Call(context.Background(), "ping", "final"); err != nil || out[0] != "final" {
 			t.Fatalf("%s after rebalance: %v %v", svc, out, err)
 		}
 	}
@@ -466,7 +466,7 @@ func TestElasticMixedVersionInterop(t *testing.T) {
 	// Remote calls work across the downgraded link.
 	for i := 0; i < 50; i++ {
 		token := fmt.Sprintf("t%d", i)
-		if out, err := sys1.Call("Front", "fetch", token); err != nil || out[0] != token {
+		if out, err := sys1.Client("Front").Call(context.Background(), "fetch", token); err != nil || out[0] != token {
 			t.Fatalf("call %d over v6 link: %v %v", i, out, err)
 		}
 	}
@@ -509,7 +509,7 @@ func TestElasticPlannedLeaveEvacuates(t *testing.T) {
 
 	// Put some state into Store, then evacuate its host the planned way.
 	for i := 0; i < 10; i++ {
-		if _, err := sys1.Call("Front", "fetch", "x"); err != nil {
+		if _, err := sys1.Client("Front").Call(context.Background(), "fetch", "x"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -526,7 +526,7 @@ func TestElasticPlannedLeaveEvacuates(t *testing.T) {
 	if host == "" {
 		t.Fatal("Store vanished on planned leave")
 	}
-	out, err := h.System(host).Call("Store", "count")
+	out, err := h.System(host).Client("Store").Call(context.Background(), "count")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func TestElasticPlannedLeaveEvacuates(t *testing.T) {
 		t.Fatalf("count = %d after evacuation, want 10", got)
 	}
 	// Service continues from the caller's side.
-	if out, err := sys1.Call("Front", "fetch", "post"); err != nil || out[0] != "post" {
+	if out, err := sys1.Client("Front").Call(context.Background(), "fetch", "post"); err != nil || out[0] != "post" {
 		t.Fatalf("post-leave call: %v %v", out, err)
 	}
 }

@@ -81,7 +81,10 @@ type TypedCall interface {
 	// form (uvarint count + tagged values) — the zero-rebox path for
 	// forwarding the call over a peer link.
 	AppendArgs(dst []byte) ([]byte, error)
-	// Req returns a pointer to the typed request value.
+	// Req returns a pointer to the typed request value, or nil when the
+	// request has no typed form (an untyped Client call riding the
+	// envelope); the serving container then uses Args and Handle, never a
+	// component's HandleTyped.
 	Req() any
 	// Resp returns a pointer to the typed response value.
 	Resp() any

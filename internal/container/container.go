@@ -26,6 +26,8 @@ type Component interface {
 // through the pointers a typed client handle supplied, so the round trip
 // never boxes arguments or results. Return ErrUntypedOp for operations the
 // component only implements through Handle — the container falls back.
+// HandleTyped is never called for a request whose Req() is nil (an untyped
+// call riding the typed envelope); Handle serves it.
 type TypedComponent interface {
 	Component
 	HandleTyped(op string, req, resp any) error
@@ -34,7 +36,9 @@ type TypedComponent interface {
 // TypedRequest is the container-level view of a typed call: the pointers the
 // component reads and writes, plus the untyped materialization used when the
 // component (or a given op) only speaks Handle. It is implemented by the
-// typed envelope in core and mirrored by connector.TypedCall.
+// typed envelope in core and mirrored by connector.TypedCall. Req returns
+// nil when the request has no typed form; InvokeTyped then serves it through
+// Handle with Args.
 type TypedRequest interface {
 	Req() any
 	Resp() any
@@ -234,9 +238,10 @@ func (c *Container) Invoke(principal, op string, args []any) ([]any, error) {
 }
 
 // InvokeTyped services one typed call through the same interposition chain
-// as Invoke. When the hosted component implements TypedComponent and serves
-// op typed, the response is written in place through call.Resp and typed is
-// true with nil results; otherwise the container falls back to Handle with
+// as Invoke. When the hosted component implements TypedComponent, the
+// request has a typed form (non-nil Req) and the component serves op typed,
+// the response is written in place through call.Resp and typed is true with
+// nil results; otherwise the container falls back to Handle with
 // the materialized argument list and returns its boxed results (typed
 // false). Either way the admission, transaction, audit, and quiescence
 // accounting happen exactly once.
@@ -267,9 +272,9 @@ func (c *Container) InvokeTyped(principal, op string, call TypedRequest) (res []
 	}
 
 	if tc, ok := comp.(TypedComponent); ok {
-		err = tc.HandleTyped(op, call.Req(), call.Resp())
-		if !errors.Is(err, ErrUntypedOp) {
-			typed = true
+		if req := call.Req(); req != nil {
+			err = tc.HandleTyped(op, req, call.Resp())
+			typed = !errors.Is(err, ErrUntypedOp)
 		}
 	}
 	if !typed {

@@ -135,6 +135,55 @@ func TestNilComponent(t *testing.T) {
 	}
 }
 
+// typedEcho serves "echo" both ways; HandleTyped asserts its request type
+// blindly, as typed components may.
+type typedEcho struct{ handled, handledTyped int }
+
+func (e *typedEcho) Handle(op string, args []any) ([]any, error) {
+	e.handled++
+	return []any{args[0]}, nil
+}
+
+func (e *typedEcho) HandleTyped(op string, req, resp any) error {
+	e.handledTyped++
+	*resp.(*string) = *req.(*string)
+	return nil
+}
+
+// fakeTypedRequest is a TypedRequest whose Req may be nil (no typed form).
+type fakeTypedRequest struct {
+	req  any
+	resp string
+	args []any
+}
+
+func (f *fakeTypedRequest) Req() any                   { return f.req }
+func (f *fakeTypedRequest) Resp() any                  { return &f.resp }
+func (f *fakeTypedRequest) Args() []any                { return f.args }
+func (f *fakeTypedRequest) SetResults(res []any) error { return nil }
+
+func TestInvokeTypedNilReqServedByHandle(t *testing.T) {
+	comp := &typedEcho{}
+	c := active(t, Descriptor{Name: "echo"}, comp)
+
+	res, typed, err := c.InvokeTyped("", "echo", &fakeTypedRequest{args: []any{"boxed"}})
+	if err != nil || typed || len(res) != 1 || res[0] != "boxed" {
+		t.Fatalf("nil Req: res=%v typed=%v err=%v, want Handle's [boxed]", res, typed, err)
+	}
+	if comp.handled != 1 || comp.handledTyped != 0 {
+		t.Fatalf("nil Req reached HandleTyped: handled=%d handledTyped=%d", comp.handled, comp.handledTyped)
+	}
+
+	in := "typed"
+	call := &fakeTypedRequest{req: &in}
+	if res, typed, err := c.InvokeTyped("", "echo", call); err != nil || !typed || res != nil || call.resp != "typed" {
+		t.Fatalf("typed Req: res=%v typed=%v err=%v resp=%q", res, typed, err, call.resp)
+	}
+	if comp.handled != 1 || comp.handledTyped != 1 {
+		t.Fatalf("typed Req: handled=%d handledTyped=%d", comp.handled, comp.handledTyped)
+	}
+}
+
 func TestQuiesceImmediateWhenIdle(t *testing.T) {
 	c := active(t, Descriptor{Name: "x"}, &counter{})
 	if err := c.Quiesce(context.Background()); err != nil {

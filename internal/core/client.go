@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"maps"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,21 +14,20 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file is the first-class invocation surface of the platform edge: a
-// compiled client-binding handle replacing the per-call resolution of the
-// deprecated System.Call/CallAs. A Client is obtained once per component
+// This file is the invocation surface of the platform edge: a compiled
+// client-binding handle. A Client is obtained once per component
 // (System.Client), carries everything a call needs — destination address,
 // presence, principal, deadline budget — and exposes a context-aware call
 // family: Call (synchronous), Async (a *Future), Oneway (fire-and-forget).
-// Deadlines and cancellation thread end-to-end: the context's deadline is
-// stamped into bus.Message metadata, carried across peer links in the wire
-// call frame, and enforced on the remote callee, so an aborted cross-node
-// call stops consuming callee capacity instead of burning its full fallback
-// timeout.
+// Call and Async run the one call implementation in typed.go, with []any as
+// both request and response. Deadlines and cancellation thread end-to-end:
+// the context's deadline is stamped into bus.Message metadata, carried
+// across peer links in the wire call frame, and enforced on the remote
+// callee, so an aborted cross-node call stops consuming callee capacity
+// instead of burning its full fallback timeout.
 
-// clientBinding is the compiled, shared half of a Client handle: the
-// resolution work System.Call used to redo on every invocation (component
-// lookup across the local and remote views) done once and republished by the
+// clientBinding is the compiled, shared half of a Client handle: component
+// lookup across the local and remote views, done once and republished by the
 // same copy-on-write machinery that maintains those views. The destination
 // address never changes — location transparency keeps a component's canonical
 // bus address stable across hot swaps, rebinds and live migrations — so the
@@ -66,16 +64,26 @@ type Client struct {
 	// window is the stream credit window for Stream opens; zero means
 	// DefaultStreamWindow.
 	window int
+	// boxed is this handle as a TypedClient over the identity codec: Call
+	// and Async are thin wrappers over it. Built with the handle, never per
+	// call.
+	boxed TypedClient[[]any, []any]
+}
+
+// newClient builds a handle and its boxed typed view.
+func newClient(b *clientBinding) *Client {
+	c := &Client{b: b}
+	c.boxed = TypedClient[[]any, []any]{c: c, codec: boxedCodec, pool: &boxedPool}
+	return c
 }
 
 // CallOption configures a derived Client handle (see Client.With).
 type CallOption func(*Client)
 
 // WithPrincipal returns an option stamping every call of the derived handle
-// with the given security principal — the replacement for the deprecated
-// System.CallAs. The principal travels end-to-end, including across peer
-// links, so callee-side container authorization keeps working when the call
-// entered the system on another cluster node.
+// with the given security principal. The principal travels end-to-end,
+// including across peer links, so callee-side container authorization keeps
+// working when the call entered the system on another cluster node.
 func WithPrincipal(principal string) CallOption {
 	return func(c *Client) { c.principal = principal }
 }
@@ -106,7 +114,8 @@ func WithStreamWindow(n int) CallOption {
 // given options applied. Deriving is allocation-cheap but not free; derive
 // once and reuse when the options are stable.
 func (c *Client) With(opts ...CallOption) *Client {
-	d := &Client{b: c.b, principal: c.principal, budget: c.budget, window: c.window}
+	d := newClient(c.b)
+	d.principal, d.budget, d.window = c.principal, c.budget, c.window
 	for _, o := range opts {
 		o(d)
 	}
@@ -125,8 +134,8 @@ func (c *Client) Component() string { return c.b.name }
 // removal the same way — handles are bound to the name, not the instance.
 // Only handles for currently-resolvable components are cached, though:
 // unknown names get an uncached handle that re-resolves per call, so
-// probing arbitrary names (a misbehaving peer, per-request dynamic names
-// through the deprecated shims) cannot grow the handle table or tax the
+// probing arbitrary names (a misbehaving peer, per-request dynamic names)
+// cannot grow the handle table or tax the
 // refresh that runs inside reconfiguration critical sections.
 func (s *System) Client(component string) *Client {
 	if cl := (*s.clients.Load())[component]; cl != nil {
@@ -144,7 +153,7 @@ func (s *System) compileClient(component string) *Client {
 	if cl := (*s.clients.Load())[component]; cl != nil {
 		return cl
 	}
-	cl := &Client{b: &clientBinding{sys: s, name: component, dst: ComponentAddress(component)}}
+	cl := newClient(&clientBinding{sys: s, name: component, dst: ComponentAddress(component)})
 	if !s.resolvableLocked(component) {
 		// Unresolvable now: present stays false and the call path falls
 		// back to resolveNow against the live views, so this handle turns
@@ -207,43 +216,7 @@ func (s *System) PendingCalls() int {
 // context without a deadline falls back to the handle's WithDeadline budget,
 // then to Options.CallTimeout.
 func (c *Client) Call(ctx context.Context, op string, args ...any) ([]any, error) {
-	b := c.b
-	s := b.sys
-	w, corr, dl, tr, err := c.send(ctx, op, args)
-	if err != nil {
-		return nil, err
-	}
-	// When the context carries a deadline it covers the wait entirely;
-	// otherwise arm a stoppable fallback timer (never time.After — high-QPS
-	// callers must not leak a pending timer per request until it fires).
-	var timerC <-chan time.Time
-	if _, ok := ctx.Deadline(); !ok {
-		timer := time.NewTimer(c.fallback())
-		defer timer.Stop()
-		timerC = timer.C
-	}
-	select {
-	case payload := <-w:
-		if payload.Err != "" {
-			rerr := replyErrorKind(payload.Err, payload.Kind)
-			c.recordEdgeSpan(tr, op, telemetry.KindClient, outcomeOf(rerr))
-			return nil, rerr
-		}
-		c.recordEdgeSpan(tr, op, telemetry.KindClient, telemetry.OutcomeOK)
-		return payload.Results, nil
-	case <-ctx.Done():
-		if _, ok := s.clientWaiters.take(corr); ok {
-			c.sendCancel(corr, dl)
-		}
-		c.recordEdgeSpan(tr, op, telemetry.KindClient, outcomeOf(ctx.Err()))
-		return nil, fmt.Errorf("core: call %s.%s: %w", b.name, op, ctx.Err())
-	case <-timerC:
-		if _, ok := s.clientWaiters.take(corr); ok {
-			c.sendCancel(corr, dl)
-		}
-		c.recordEdgeSpan(tr, op, telemetry.KindClient, telemetry.OutcomeDeadline)
-		return nil, c.timeoutError(op)
-	}
+	return c.boxed.Call(ctx, op, args)
 }
 
 // timeoutError is the caller-side timer error. A WithDeadline budget is an
@@ -264,52 +237,11 @@ func (c *Client) timeoutError(op string) error {
 // effective deadline (context, budget or fallback) releases it — and
 // context cancellation releases it immediately, awaited or not.
 func (c *Client) Async(ctx context.Context, op string, args ...any) *Future {
-	f := &Future{component: c.b.name, op: op, done: make(chan struct{})}
-	w, corr, dl, tr, err := c.send(ctx, op, args)
-	if err != nil {
-		f.settle(nil, err)
-		return f
-	}
-	s := c.b.sys
-	f.cl, f.tr = c, tr
-	f.w = w
-	f.take = func() bool { _, ok := s.clientWaiters.take(corr); return ok }
-	// Bound the slot: whoever owns the take wins — the reply pump (normal
-	// completion), the fallback timer (timeout), or the context hook
-	// (cancellation and deadline). Mirroring Call, the timer is armed only
-	// when the context carries no deadline, so deadline expiry always
-	// resolves through the hook and keeps context.DeadlineExceeded
-	// identity.
-	// Either callback that loses the take race still runs cleanup: the
-	// reply arrived (pump owns the slot) but nobody Waited, and without the
-	// cleanup an un-awaited future would pin its context.AfterFunc
-	// registration — and through it the future — for the context's whole
-	// lifetime.
-	var timer *time.Timer
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		timer = time.AfterFunc(c.fallback(), func() {
-			if f.take() {
-				c.sendCancel(corr, dl)
-				f.settle(nil, c.timeoutError(f.op))
-			} else {
-				f.cleanup()
-			}
-		})
-	}
-	var hook func() bool
-	if ctx.Done() != nil {
-		hook = context.AfterFunc(ctx, func() {
-			if f.take() {
-				c.sendCancel(corr, dl)
-				f.settle(nil, fmt.Errorf("core: call %s.%s: %w", f.component, f.op, ctx.Err()))
-			} else {
-				f.cleanup()
-			}
-		})
-	}
-	f.arm(timer, hook)
-	return f
+	return c.boxed.Async(ctx, op, args)
 }
+
+// Future is one in-flight asynchronous untyped call (Client.Async).
+type Future = TypedFuture[[]any, []any]
 
 // Oneway sends op without expecting a result: no reply-waiter slot is
 // registered, and the eventual reply is discarded at the platform edge. The
@@ -327,7 +259,8 @@ func (c *Client) Oneway(ctx context.Context, op string, args ...any) error {
 		return err
 	}
 	b := c.b
-	if err := b.sys.bus.Send(c.request(ep, corr, dl, tr, op, args)); err != nil {
+	payload := connector.CallPayload{Principal: c.principal, Args: args}
+	if err := b.sys.bus.Send(c.request(payload, ep, corr, dl, tr, op)); err != nil {
 		if errors.Is(err, bus.ErrUnknownDst) {
 			return fmt.Errorf("%w: %s", ErrNoSuchComponent, b.name)
 		}
@@ -405,34 +338,15 @@ func (c *Client) admit(ctx context.Context, op string) (*bus.Endpoint, uint64, i
 
 // request assembles the admitted request message, deadline and trace
 // context stamped.
-func (c *Client) request(ep *bus.Endpoint, corr uint64, dl int64, tr traceRef, op string, args []any) bus.Message {
+func (c *Client) request(payload any, ep *bus.Endpoint, corr uint64, dl int64, tr traceRef, op string) bus.Message {
 	return bus.Message{
-		Kind: bus.Request, Op: op,
-		Payload: connector.CallPayload{Principal: c.principal, Args: args},
-		Src:     ep.Addr(), Dst: c.b.dst, Corr: corr,
-		Trace: tr.trace, Span: tr.span,
-		Deadline: dl,
+		Kind: bus.Request, Op: op, Payload: payload,
+		Src: ep.Addr(), Dst: c.b.dst, Corr: corr,
+		Trace: tr.trace, Span: tr.span, Deadline: dl,
 	}
 }
 
-// send admits the call, registers the reply waiter and puts the request on
-// the bus. On error the waiter slot is already released.
-func (c *Client) send(ctx context.Context, op string, args []any) (chan connector.ReplyPayload, uint64, int64, traceRef, error) {
-	ep, corr, dl, tr, err := c.admit(ctx, op)
-	if err != nil {
-		return nil, 0, 0, traceRef{}, err
-	}
-	s := c.b.sys
-	w := make(chan connector.ReplyPayload, 1)
-	s.clientWaiters.add(corr, w)
-	if err := s.bus.Send(c.request(ep, corr, dl, tr, op, args)); err != nil {
-		s.clientWaiters.take(corr)
-		return nil, 0, 0, traceRef{}, err
-	}
-	return w, corr, dl, tr, nil
-}
-
-// sendCancel tells the callee — and any mediating gateway on the way, which
+// cancelCallee tells the callee — and any mediating gateway on the way, which
 // relays it across the peer link as a wire cancel frame — that the caller
 // abandoned corr, so queued or in-service work for it can be reclaimed
 // immediately. Best-effort: a lost cancel only costs the reclamation, never
@@ -440,7 +354,7 @@ func (c *Client) send(ctx context.Context, op string, args []any) (chan connecto
 // revokes the work at every queueing point — so only aborts before the
 // stamped deadline (early context cancellation, fallback timeouts on
 // deadline-less calls) send one.
-func (c *Client) sendCancel(corr uint64, dl int64) {
+func (c *Client) cancelCallee(corr uint64, dl int64) {
 	if dl != 0 && time.Now().UnixNano() >= dl {
 		return
 	}
@@ -551,96 +465,3 @@ type remoteDeadlineError struct{ msg string }
 func (e *remoteDeadlineError) Error() string { return e.msg }
 
 func (e *remoteDeadlineError) Is(target error) bool { return target == context.DeadlineExceeded }
-
-// Future is one in-flight asynchronous call. A Future resolves exactly once
-// — to the reply, a timeout, or the context's cancellation error — and every
-// Wait after resolution returns the same outcome. Futures are safe for
-// concurrent Wait.
-type Future struct {
-	component, op string
-	w             chan connector.ReplyPayload
-	take          func() bool
-
-	// cl and tr close the client-edge span when the future settles; cl is
-	// nil when the call failed before a request was sent.
-	cl *Client
-	tr traceRef
-
-	// cleanupMu guards the timer/hook handoff: Async arms them after the
-	// send, but the very callbacks they run (or the reply pump via Wait)
-	// can settle the future first — a near-expired deadline makes that
-	// race real, not theoretical. settle and arm therefore exchange the
-	// pair under the lock with a nil-swap, each prepared to run second.
-	cleanupMu sync.Mutex
-	timer     *time.Timer
-	stopHook  func() bool
-
-	settleOnce sync.Once
-	done       chan struct{}
-	results    []any
-	err        error
-}
-
-// settle resolves the future exactly once. done closes before cleanup so a
-// concurrent arm that misses the swap still observes the resolution and
-// cleans up itself.
-func (f *Future) settle(results []any, err error) {
-	f.settleOnce.Do(func() {
-		f.results, f.err = results, err
-		if f.cl != nil {
-			f.cl.recordEdgeSpan(f.tr, f.op, telemetry.KindClient, outcomeOf(err))
-		}
-		close(f.done)
-		f.cleanup()
-	})
-}
-
-// arm installs the bounding timer and context hook. If the future settled
-// before (or while) they were installed, they are released immediately.
-func (f *Future) arm(timer *time.Timer, hook func() bool) {
-	f.cleanupMu.Lock()
-	f.timer, f.stopHook = timer, hook
-	f.cleanupMu.Unlock()
-	select {
-	case <-f.done:
-		f.cleanup()
-	default:
-	}
-}
-
-// cleanup releases the timer and context hook at most once (nil-swap under
-// the lock makes it idempotent and race-free against arm).
-func (f *Future) cleanup() {
-	f.cleanupMu.Lock()
-	timer, hook := f.timer, f.stopHook
-	f.timer, f.stopHook = nil, nil
-	f.cleanupMu.Unlock()
-	if timer != nil {
-		timer.Stop()
-	}
-	if hook != nil {
-		hook()
-	}
-}
-
-// Wait blocks until the call resolves and returns its outcome. The deadline
-// and cancellation paths release the reply-waiter slot immediately; a reply
-// that raced a cancellation and arrived first is still returned.
-func (f *Future) Wait() ([]any, error) {
-	select {
-	case <-f.done:
-	case payload := <-f.w:
-		if payload.Err != "" {
-			f.settle(nil, replyErrorKind(payload.Err, payload.Kind))
-		} else {
-			f.settle(payload.Results, nil)
-		}
-	}
-	<-f.done
-	return f.results, f.err
-}
-
-// Done returns a channel closed when the future has resolved through Wait,
-// a timeout or a cancellation. A reply that arrives while nobody waits does
-// not close it — call Wait to collect.
-func (f *Future) Done() <-chan struct{} { return f.done }

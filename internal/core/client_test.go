@@ -69,8 +69,7 @@ func startSlow(t *testing.T, delay time.Duration, opts Options) (*System, *atomi
 // ---- tests ------------------------------------------------------------------
 
 // TestClientHandleCompiledOnce: the canonical handle is compiled on first
-// use, cached, and shared by the deprecated shims; calls through it behave
-// like the old surface.
+// use and cached; calls through it reach the component.
 func TestClientHandleCompiledOnce(t *testing.T) {
 	sys := startKV(t, Options{})
 	store := sys.Client("Store")

@@ -198,7 +198,7 @@ func (s *Stream) Close() error {
 	}
 	s.sys.clientStreams.take(s.corr)
 	if !ended {
-		s.c.sendCancel(s.corr, s.dl)
+		s.c.cancelCallee(s.corr, s.dl)
 	}
 	return nil
 }
@@ -257,14 +257,8 @@ func (c *Client) streamOpen(ctx context.Context, op string, args []any, window i
 		notify: make(chan struct{}, 1),
 	}
 	s.clientStreams.add(corr, st)
-	m := bus.Message{
-		Kind: bus.Request, Op: op,
-		Payload: connector.StreamOpenPayload{Principal: c.principal, Args: args, Window: window},
-		Src:     ep.Addr(), Dst: c.b.dst, Corr: corr,
-		Deadline: dl,
-		Trace:    tr.trace, Span: tr.span,
-	}
-	if err := s.bus.Send(m); err != nil {
+	open := connector.StreamOpenPayload{Principal: c.principal, Args: args, Window: window}
+	if err := s.bus.Send(c.request(open, ep, corr, dl, tr, op)); err != nil {
 		s.clientStreams.take(corr)
 		c.recordEdgeSpan(tr, op, telemetry.KindStream, outcomeOf(err))
 		return nil, err

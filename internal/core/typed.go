@@ -13,15 +13,15 @@ import (
 	"repro/internal/wire"
 )
 
-// This file implements typed client handles: the zero-alloc invocation
-// surface layered on the compiled client bindings of client.go. A
-// TypedClient carries a codec compiled once at handle creation — encode Req,
-// decode Resp, materialize the legacy []any form — and a pool of reusable
-// call envelopes. A call moves one envelope pointer through the bus instead
-// of boxing arguments, the serving side writes the response in place through
+// This file implements the platform edge's one call path: typed client
+// handles over the compiled client bindings of client.go. A TypedClient
+// carries a codec compiled once at handle creation — encode Req, decode
+// Resp, materialize the []any form — and a pool of reusable call envelopes.
+// A call moves one envelope pointer through the bus instead of boxing
+// arguments, the serving side writes the response in place through
 // container.TypedComponent, and the reply is a pure completion signal. The
-// handle shares its binding with the untyped Client, so it survives swaps,
-// rebinds, reconfigurations and live migrations exactly the same way.
+// untyped Client.Call and Client.Async are this path over boxedCodec, with
+// []any as both request and response.
 
 // TypedRequest is implemented by request types that carry their own
 // generated-style codec: AppendArgs preencodes the argument list in
@@ -127,6 +127,20 @@ func deriveCodec[Req, Resp any]() (Codec[Req, Resp], error) {
 	return c, nil
 }
 
+// boxedCodec is the identity codec behind the untyped Client: the request is
+// the argument list, the response the result list.
+var boxedCodec = Codec[[]any, []any]{
+	AppendReq:  func(dst []byte, req *[]any) ([]byte, error) { return wire.AppendValues(dst, *req) },
+	ReqArgs:    func(req *[]any) []any { return *req },
+	DecodeResp: func(results []any, resp *[]any) error { *resp = results; return nil },
+}
+
+// boxedPool is the one envelope pool every untyped Client shares, so
+// compiling a handle allocates no pool of its own.
+var boxedPool = sync.Pool{New: func() any {
+	return &typedEnvelope[[]any, []any]{w: make(chan connector.ReplyPayload, 1)}
+}}
+
 // TypedClient is a typed, allocation-free binding handle to one named
 // component. It wraps the canonical *Client binding — presence, destination,
 // principal and deadline budget all behave identically — and adds a compiled
@@ -224,8 +238,16 @@ func (e *typedEnvelope[Req, Resp]) AppendArgs(dst []byte) ([]byte, error) {
 	return e.codec.AppendReq(dst, &e.req)
 }
 
-// Req implements connector.TypedCall.
-func (e *typedEnvelope[Req, Resp]) Req() any { return &e.req }
+// Req implements connector.TypedCall. A boxed ([]any) request has no typed
+// form, so it reports nil and the container serves it through Handle: a
+// TypedComponent's HandleTyped only ever sees the pointer types it was
+// written for.
+func (e *typedEnvelope[Req, Resp]) Req() any {
+	if _, boxed := any(&e.req).(*[]any); boxed {
+		return nil
+	}
+	return &e.req
+}
 
 // Resp implements connector.TypedCall.
 func (e *typedEnvelope[Req, Resp]) Resp() any { return &e.resp }
@@ -256,9 +278,11 @@ func (t *TypedClient[Req, Resp]) get(req *Req) *typedEnvelope[Req, Resp] {
 }
 
 // Call invokes op synchronously with a typed request and returns the typed
-// response. Context semantics are identical to Client.Call: the deadline is
+// response. The context governs the call end-to-end: the deadline is
 // stamped into the request, carried across peer links and enforced on the
-// callee; cancellation releases the reply-waiter slot immediately.
+// callee; cancellation releases the reply-waiter slot immediately. A context
+// without a deadline falls back to the handle's WithDeadline budget, then to
+// Options.CallTimeout.
 func (t *TypedClient[Req, Resp]) Call(ctx context.Context, op string, req Req) (Resp, error) {
 	var zero Resp
 	c := t.c
@@ -271,16 +295,7 @@ func (t *TypedClient[Req, Resp]) Call(ctx context.Context, op string, req Req) (
 		return zero, err
 	}
 	e := t.get(&req)
-	s.clientWaiters.add(corr, e.w)
-	m := bus.Message{
-		Kind: bus.Request, Op: op,
-		Payload: e,
-		Src:     ep.Addr(), Dst: b.dst, Corr: corr,
-		Trace: tr.trace, Span: tr.span,
-		Deadline: dl,
-	}
-	if err := s.bus.Send(m); err != nil {
-		s.clientWaiters.take(corr)
+	if err := t.post(e, ep, corr, dl, tr, op); err != nil {
 		t.pool.Put(e)
 		return zero, err
 	}
@@ -298,12 +313,17 @@ func (t *TypedClient[Req, Resp]) Call(ctx context.Context, op string, req Req) (
 		if timerC != nil {
 			e.timer.Stop()
 		}
-		resp, cerr := t.collect(e, payload)
+		cerr := e.outcome(payload)
+		resp := e.resp
+		t.pool.Put(e)
 		c.recordEdgeSpan(tr, op, telemetry.KindClient, outcomeOf(cerr))
-		return resp, cerr
+		if cerr != nil {
+			return zero, cerr
+		}
+		return resp, nil
 	case <-ctx.Done():
 		if _, ok := s.clientWaiters.take(corr); ok {
-			c.sendCancel(corr, dl)
+			c.cancelCallee(corr, dl)
 		}
 		if timerC != nil {
 			e.timer.Stop()
@@ -313,54 +333,51 @@ func (t *TypedClient[Req, Resp]) Call(ctx context.Context, op string, req Req) (
 		return zero, fmt.Errorf("core: call %s.%s: %w", b.name, op, ctx.Err())
 	case <-timerC:
 		if _, ok := s.clientWaiters.take(corr); ok {
-			c.sendCancel(corr, dl)
+			c.cancelCallee(corr, dl)
 		}
 		c.recordEdgeSpan(tr, op, telemetry.KindClient, telemetry.OutcomeDeadline)
 		return zero, c.timeoutError(op)
 	}
 }
 
-// collect turns a received reply signal into the call outcome and recycles
-// the envelope. The typed fast path reads the completion Finish wrote in
-// place; the legacy path (untyped component, aspect-replaced results,
-// remote or mediated reply) decodes the boxed payload through the codec.
-func (t *TypedClient[Req, Resp]) collect(e *typedEnvelope[Req, Resp], payload connector.ReplyPayload) (Resp, error) {
-	var zero Resp
-	if e.done {
-		if e.errMsg != "" {
-			err := replyErrorKind(e.errMsg, e.errKind)
-			t.pool.Put(e)
-			return zero, err
-		}
-		resp := e.resp
-		t.pool.Put(e)
-		return resp, nil
+// post registers e's reply waiter and puts the admitted request carrying e
+// on the bus. On error the waiter slot is already released.
+func (t *TypedClient[Req, Resp]) post(e *typedEnvelope[Req, Resp], ep *bus.Endpoint, corr uint64, dl int64, tr traceRef, op string) error {
+	s := t.c.b.sys
+	s.clientWaiters.add(corr, e.w)
+	if err := s.bus.Send(t.c.request(e, ep, corr, dl, tr, op)); err != nil {
+		s.clientWaiters.take(corr)
+		return err
 	}
-	if payload.Err != "" {
-		err := replyErrorKind(payload.Err, payload.Kind)
-		t.pool.Put(e)
-		return zero, err
+	return nil
+}
+
+// outcome reads a received reply signal into e.resp and returns the call
+// error. The typed fast path reads the completion Finish wrote in place; the
+// boxed path (untyped component, aspect-replaced results, remote or mediated
+// reply) decodes the payload through the codec.
+func (e *typedEnvelope[Req, Resp]) outcome(payload connector.ReplyPayload) error {
+	switch {
+	case e.done && e.errMsg != "":
+		return replyErrorKind(e.errMsg, e.errKind)
+	case e.done:
+		return nil
+	case payload.Err != "":
+		return replyErrorKind(payload.Err, payload.Kind)
 	}
-	derr := t.codec.DecodeResp(payload.Results, &e.resp)
-	resp := e.resp
-	t.pool.Put(e)
-	if derr != nil {
-		return zero, derr
-	}
-	return resp, nil
+	return e.codec.DecodeResp(payload.Results, &e.resp)
 }
 
 // Async invokes op without waiting; the returned TypedFuture resolves on
-// Wait. Slot-bounding mirrors Client.Async: the effective deadline or the
-// context hook releases the reply waiter even if Wait is never called. The
-// future's envelope is freshly allocated and never pooled — concurrent Waits
-// select on its channel, so recycling it could leak a signal across calls.
+// Wait. The effective deadline or the context hook releases the reply waiter
+// even if Wait is never called. The future's envelope is freshly allocated
+// and never pooled — concurrent Waits select on its channel, so recycling it
+// could leak a signal across calls.
 func (t *TypedClient[Req, Resp]) Async(ctx context.Context, op string, req Req) *TypedFuture[Req, Resp] {
 	c := t.c
-	f := &TypedFuture[Req, Resp]{t: t, op: op, done: make(chan struct{})}
 	e := &typedEnvelope[Req, Resp]{w: make(chan connector.ReplyPayload, 1), codec: &t.codec,
 		principal: c.principal, req: req}
-	f.e = e
+	f := &TypedFuture[Req, Resp]{op: op, e: e, done: make(chan struct{})}
 	s := c.b.sys
 	ep, corr, dl, tr, err := c.admit(ctx, op)
 	if err != nil {
@@ -368,25 +385,24 @@ func (t *TypedClient[Req, Resp]) Async(ctx context.Context, op string, req Req) 
 		return f
 	}
 	f.cl, f.tr = c, tr
-	s.clientWaiters.add(corr, e.w)
-	m := bus.Message{
-		Kind: bus.Request, Op: op,
-		Payload: e,
-		Src:     ep.Addr(), Dst: c.b.dst, Corr: corr,
-		Trace: tr.trace, Span: tr.span,
-		Deadline: dl,
-	}
-	if err := s.bus.Send(m); err != nil {
-		s.clientWaiters.take(corr)
+	if err := t.post(e, ep, corr, dl, tr, op); err != nil {
 		f.settle(nil, err)
 		return f
 	}
 	f.take = func() bool { _, ok := s.clientWaiters.take(corr); return ok }
+	// Bound the slot: whoever owns the take wins — the reply (through Wait),
+	// the fallback timer (timeout), or the context hook (cancellation and
+	// deadline). The timer is armed only when the context carries no
+	// deadline, so deadline expiry always resolves through the hook and
+	// keeps context.DeadlineExceeded identity. A callback that loses the
+	// take race still runs cleanup: otherwise an un-awaited future would pin
+	// its context.AfterFunc registration — and through it the future — for
+	// the context's whole lifetime.
 	var timer *time.Timer
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
 		timer = time.AfterFunc(c.fallback(), func() {
 			if f.take() {
-				c.sendCancel(corr, dl)
+				c.cancelCallee(corr, dl)
 				f.settle(nil, c.timeoutError(f.op))
 			} else {
 				f.cleanup()
@@ -397,7 +413,7 @@ func (t *TypedClient[Req, Resp]) Async(ctx context.Context, op string, req Req) 
 	if ctx.Done() != nil {
 		hook = context.AfterFunc(ctx, func() {
 			if f.take() {
-				c.sendCancel(corr, dl)
+				c.cancelCallee(corr, dl)
 				f.settle(nil, fmt.Errorf("core: call %s.%s: %w", c.b.name, f.op, ctx.Err()))
 			} else {
 				f.cleanup()
@@ -408,11 +424,10 @@ func (t *TypedClient[Req, Resp]) Async(ctx context.Context, op string, req Req) 
 	return f
 }
 
-// TypedFuture is one in-flight asynchronous typed call; it resolves exactly
-// once and is safe for concurrent Wait. Lifecycle (settle/arm/cleanup)
-// mirrors core.Future.
+// TypedFuture is one in-flight asynchronous call. It resolves exactly once —
+// to the reply, a timeout, or the context's cancellation error — and every
+// Wait after resolution returns the same outcome. Safe for concurrent Wait.
 type TypedFuture[Req, Resp any] struct {
-	t    *TypedClient[Req, Resp]
 	op   string
 	e    *typedEnvelope[Req, Resp]
 	take func() bool
@@ -422,6 +437,11 @@ type TypedFuture[Req, Resp any] struct {
 	cl *Client
 	tr traceRef
 
+	// cleanupMu guards the timer/hook handoff: Async arms them after the
+	// send, but the very callbacks they run (or Wait) can settle the future
+	// first — a near-expired deadline makes that race real. settle and arm
+	// therefore exchange the pair under the lock with a nil-swap, each
+	// prepared to run second.
 	cleanupMu sync.Mutex
 	timer     *time.Timer
 	stopHook  func() bool
@@ -432,6 +452,9 @@ type TypedFuture[Req, Resp any] struct {
 	err        error
 }
 
+// settle resolves the future exactly once. done closes before cleanup so a
+// concurrent arm that misses the swap still observes the resolution and
+// cleans up itself.
 func (f *TypedFuture[Req, Resp]) settle(resp *Resp, err error) {
 	f.settleOnce.Do(func() {
 		f.resp, f.err = resp, err
@@ -443,6 +466,8 @@ func (f *TypedFuture[Req, Resp]) settle(resp *Resp, err error) {
 	})
 }
 
+// arm installs the bounding timer and context hook. If the future settled
+// before (or while) they were installed, they are released immediately.
 func (f *TypedFuture[Req, Resp]) arm(timer *time.Timer, hook func() bool) {
 	f.cleanupMu.Lock()
 	f.timer, f.stopHook = timer, hook
@@ -454,6 +479,7 @@ func (f *TypedFuture[Req, Resp]) arm(timer *time.Timer, hook func() bool) {
 	}
 }
 
+// cleanup releases the timer and context hook at most once.
 func (f *TypedFuture[Req, Resp]) cleanup() {
 	f.cleanupMu.Lock()
 	timer, hook := f.timer, f.stopHook
@@ -467,24 +493,16 @@ func (f *TypedFuture[Req, Resp]) cleanup() {
 	}
 }
 
-// Wait blocks until the call resolves and returns its typed outcome.
+// Wait blocks until the call resolves and returns its outcome. A reply that
+// raced a cancellation and arrived first is still returned.
 func (f *TypedFuture[Req, Resp]) Wait() (Resp, error) {
 	select {
 	case <-f.done:
 	case payload := <-f.e.w:
-		e := f.e
-		if e.done {
-			if e.errMsg != "" {
-				f.settle(nil, replyErrorKind(e.errMsg, e.errKind))
-			} else {
-				f.settle(&e.resp, nil)
-			}
-		} else if payload.Err != "" {
-			f.settle(nil, replyErrorKind(payload.Err, payload.Kind))
-		} else if derr := f.t.codec.DecodeResp(payload.Results, &e.resp); derr != nil {
-			f.settle(nil, derr)
+		if err := f.e.outcome(payload); err != nil {
+			f.settle(nil, err)
 		} else {
-			f.settle(&e.resp, nil)
+			f.settle(&f.e.resp, nil)
 		}
 	}
 	<-f.done
@@ -495,5 +513,7 @@ func (f *TypedFuture[Req, Resp]) Wait() (Resp, error) {
 	return *f.resp, f.err
 }
 
-// Done returns a channel closed when the future has resolved.
+// Done returns a channel closed when the future has resolved through Wait,
+// a timeout or a cancellation. A reply that arrives while nobody waits does
+// not close it — call Wait to collect.
 func (f *TypedFuture[Req, Resp]) Done() <-chan struct{} { return f.done }
