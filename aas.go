@@ -165,9 +165,8 @@ var (
 	// again — admission reopens as soon as the backlog drains. Test with
 	// errors.Is(err, aas.ErrOverloaded).
 	ErrOverloaded = core.ErrOverloaded
-	// ErrStreamUnsupported reports a stream open refused because the
-	// component lives behind a peer link negotiated below wire v5. Test
-	// with errors.Is — the refusal is typed end-to-end, not a string.
+	// ErrStreamUnsupported is kept for callers that classify against it;
+	// no path in this build returns it (every peer link carries streams).
 	ErrStreamUnsupported = core.ErrStreamUnsupported
 	// ErrStreamClosed is returned by Recv after the consumer closed the
 	// stream.
@@ -414,10 +413,11 @@ type Metrics = strategy.Metrics
 // Telemetry plane (DESIGN.md §11): end-to-end tracing plus one unified
 // metrics snapshot per node. Zero-alloc span records are written at the
 // client-handle edge, the serving component, and cluster gateways; trace
-// context crosses peer links on wire v6. Observe a system through
-// System.Telemetry / System.Spans (node-local), ClusterNode.Telemetry
-// (adds per-link state and gateway sheds), ClusterNode.ShedStats and
-// ClusterNode.BatchStats (the raw distribution-plane counters), and
+// context crosses peer links in the call frame's trace trailer. Observe a
+// system through System.Telemetry / System.Spans (node-local),
+// ClusterNode.Telemetry (adds per-link state and gateway sheds),
+// ClusterNode.ShedStats and ClusterNode.BatchStats (the raw
+// distribution-plane counters), and
 // System.Events().Published / .Dropped (the event hub's ledger). Tune
 // sampling with Options.TraceSampling or at run time via
 // System.Recorder().SetSampling.
@@ -443,14 +443,13 @@ const (
 	SpanForward = telemetry.KindForward
 	SpanStream  = telemetry.KindStream
 
-	SpanOK                = telemetry.OutcomeOK
-	SpanAppError          = telemetry.OutcomeAppError
-	SpanDeadline          = telemetry.OutcomeDeadline
-	SpanCancelled         = telemetry.OutcomeCancelled
-	SpanNoSuchComponent   = telemetry.OutcomeNoSuchComponent
-	SpanStreamUnsupported = telemetry.OutcomeStreamUnsupported
-	SpanOverload          = telemetry.OutcomeOverload
-	SpanShed              = telemetry.OutcomeShed
+	SpanOK              = telemetry.OutcomeOK
+	SpanAppError        = telemetry.OutcomeAppError
+	SpanDeadline        = telemetry.OutcomeDeadline
+	SpanCancelled       = telemetry.OutcomeCancelled
+	SpanNoSuchComponent = telemetry.OutcomeNoSuchComponent
+	SpanOverload        = telemetry.OutcomeOverload
+	SpanShed            = telemetry.OutcomeShed
 )
 
 // PackSpan packs a span id over its parent id into the single word carried

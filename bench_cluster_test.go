@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	aas "repro"
 
@@ -75,22 +74,12 @@ func benchClusterRegistry(string) *registry.Registry {
 }
 
 func startBenchCluster(b *testing.B) *aas.ClusterHarness {
-	return startBenchClusterAt(b, 0, 0) // 0 = negotiate the newest wire version
-}
-
-// startBenchClusterAt pins every node's advertised wire version; maxVer 2
-// disables per-link frame batching (the pre-batching baseline), 0 uses the
-// default (newest, batched). linger is the egress group-commit window.
-func startBenchClusterAt(b *testing.B, maxVer uint8, linger time.Duration) *aas.ClusterHarness {
 	b.Helper()
 	h, err := aas.StartCluster(context.Background(), aas.ClusterSpec{
 		ADL:       benchClusterADL,
 		Nodes:     []string{"n1", "n2"},
 		Placement: map[string]string{"Front": "n1", "Store": "n2"},
 		Registry:  benchClusterRegistry,
-		Cluster: func(string) aas.ClusterOptions {
-			return aas.ClusterOptions{MaxWireVersion: maxVer, BatchLinger: linger}
-		},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -119,30 +108,18 @@ func BenchmarkClusterParallelRemoteCall(b *testing.B) {
 	})
 }
 
-// BenchmarkClusterBatchedRemoteCall measures the cross-node path over a
-// batched (wire v3) peer link: concurrent callers' frames coalesce into
-// FrameBatch writes, amortizing the syscall per call. Compare against
-// BenchmarkClusterUnbatchedRemoteCall at the same -cpu.
+// BenchmarkClusterBatchedRemoteCall measures the cross-node path under a
+// deep in-flight load: concurrent callers' frames coalesce into FrameBatch
+// writes, amortizing the syscall per call.
 func BenchmarkClusterBatchedRemoteCall(b *testing.B) {
-	benchClusterRemote(b, startBenchClusterAt(b, 0, 200*time.Microsecond))
-}
-
-// BenchmarkClusterUnbatchedRemoteCall is the same workload with the link
-// pinned to wire v2 — one frame per write — the pre-batching baseline.
-func BenchmarkClusterUnbatchedRemoteCall(b *testing.B) {
-	benchClusterRemote(b, startBenchClusterAt(b, 2, 0))
-}
-
-func benchClusterRemote(b *testing.B, h *aas.ClusterHarness) {
-	b.Helper()
-	sys := h.System("n1")
+	sys := startBenchCluster(b).System("n1")
 	store := sys.Client("Store")
 	ctx := context.Background()
 	if _, err := store.Call(ctx, "get", "warm"); err != nil {
 		b.Fatal(err)
 	}
-	// Many in-flight callers per proc: the shape that exposes the syscall
-	// tax of one-write-per-frame and lets the egress coalesce deep batches.
+	// Many in-flight callers per proc: the shape that lets the egress
+	// coalesce deep batches.
 	b.SetParallelism(64)
 	b.ReportAllocs()
 	b.ResetTimer()

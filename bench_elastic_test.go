@@ -45,7 +45,7 @@ func benchGossipView() wire.Gossip {
 }
 
 // BenchmarkMembershipGossipEncode measures the append-style serialisation of
-// one full beacon — the sender side of every v7 heartbeat.
+// one full beacon — the sender side of every heartbeat.
 func BenchmarkMembershipGossipEncode(b *testing.B) {
 	view := benchGossipView()
 	buf := make([]byte, 0, 4096)

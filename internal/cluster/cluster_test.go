@@ -525,6 +525,68 @@ func TestClusterDeadlinePropagation(t *testing.T) {
 	}
 }
 
+// TestClusterRemoteOverloaded: a budgeted call that the callee's admission
+// control sheds keeps its identity across the wire — the caller on the
+// other node matches it with errors.Is(err, core.ErrOverloaded), exactly as
+// a local reject, and gets it at once instead of at its deadline.
+func TestClusterRemoteOverloaded(t *testing.T) {
+	served := new(atomic.Int64)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	h, err := StartHarness(ctx, Spec{
+		ADL:       slowADL,
+		Nodes:     []string{"n1", "n2"},
+		Placement: map[string]string{"Slow": "n2"},
+		Registry:  slowRegistry(served, 200*time.Millisecond),
+		Cluster:   fastCluster,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	slow := h.System("n1").Client("Slow")
+
+	// Teach n2's estimator the 200ms service time.
+	if _, err := slow.Call(context.Background(), "work", "warm"); err != nil {
+		t.Fatalf("warmup: %v", err)
+	}
+	// Fill every serve worker on n2 and queue as many again behind them.
+	const backlog = 8
+	var wg sync.WaitGroup
+	for i := 0; i < backlog; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := slow.Call(context.Background(), "work", i); err != nil {
+				t.Errorf("backlog call %d: %v", i, err)
+			}
+		}(i)
+	}
+	defer wg.Wait()
+	for deadline := time.Now().Add(2 * time.Second); h.System("n2").PendingCalls() < backlog; {
+		if time.Now().After(deadline) {
+			t.Fatalf("backlog never reached n2: %d pending", h.System("n2").PendingCalls())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// The estimated wait (~600ms) exceeds the 300ms budget: n2 rejects the
+	// call as it arrives over the wire.
+	cctx, ccancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer ccancel()
+	start := time.Now()
+	_, err = slow.Call(cctx, "work", "budgeted")
+	if !errors.Is(err, core.ErrOverloaded) {
+		t.Fatalf("remote admission reject: err = %v, want core.ErrOverloaded", err)
+	}
+	if errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("overload reject also matches DeadlineExceeded: %v", err)
+	}
+	if el := time.Since(start); el > 150*time.Millisecond {
+		t.Fatalf("reject took %v; a callee-side shed answers at once", el)
+	}
+}
+
 // drainEvents empties the channel without blocking.
 func drainEvents(ch <-chan core.Event) {
 	for {

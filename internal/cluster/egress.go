@@ -2,11 +2,9 @@
 // and reply frames while the link's writer is busy and packs them into one
 // wire.FrameBatch write, cutting the syscall count per remote call from one
 // write each way to one write per batch. Batching is group-commit style —
-// no artificial delay by default: a flush starts as soon as the writer is
-// free, and whatever queued during the previous write rides the next batch.
-// Options.BatchLinger can add a bounded µs-scale wait to deepen batches on
-// latency-tolerant links. Only negotiated-v3 links have an egress; v2 links
-// keep the direct one-frame-per-write path.
+// no artificial delay: a flush starts as soon as the writer is free, and
+// whatever queued during the previous write rides the next batch. Every
+// peer link has an egress.
 package cluster
 
 import (
@@ -59,7 +57,7 @@ const (
 	egressReplicateAck
 )
 
-// egress is the coalescing writer of one v3 peer link.
+// egress is the coalescing writer of one peer link.
 type egress struct {
 	p *peer
 
@@ -84,16 +82,16 @@ func (e *egress) enqueueReply(r wire.Reply) {
 	e.enqueue(egressItem{kind: egressReply, reply: r})
 }
 
-// enqueueCancel queues an outbound call revocation (v4 links only). Cancels
-// coalesce with the rest of the traffic; a cancel overtaking its own call is
-// impossible because the queue preserves enqueue order.
+// enqueueCancel queues an outbound call revocation. Cancels coalesce with
+// the rest of the traffic; a cancel overtaking its own call is impossible
+// because the queue preserves enqueue order.
 func (e *egress) enqueueCancel(c wire.Cancel) {
 	e.enqueue(egressItem{kind: egressCancel, cancel: c})
 }
 
-// enqueueStreamOpen queues an outbound stream open (v5 links only). Like a
-// call it carries the caller's absolute deadline, so the relative budget is
-// stamped at write time and an open that expired in the queue fails locally.
+// enqueueStreamOpen queues an outbound stream open. Like a call it carries
+// the caller's absolute deadline, so the relative budget is stamped at write
+// time and an open that expired in the queue fails locally.
 func (e *egress) enqueueStreamOpen(o wire.StreamOpen, absDeadline int64) {
 	e.enqueue(egressItem{kind: egressStreamOpen, streamOpen: o, absDeadline: absDeadline})
 }
@@ -116,9 +114,9 @@ func (e *egress) enqueueStreamEnd(s wire.StreamEnd) {
 	e.enqueue(egressItem{kind: egressStreamEnd, streamEnd: s})
 }
 
-// enqueueReplicate queues one outbound warm-standby snapshot (v7 links
-// only). Replication traffic coalesces with calls and replies — shipping a
-// snapshot costs a fraction of a syscall when the link is busy.
+// enqueueReplicate queues one outbound warm-standby snapshot. Replication
+// traffic coalesces with calls and replies — shipping a snapshot costs a
+// fraction of a syscall when the link is busy.
 func (e *egress) enqueueReplicate(r wire.Replicate) {
 	e.enqueue(egressItem{kind: egressReplicate, replicate: r})
 }
@@ -149,17 +147,6 @@ func (e *egress) flushLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-e.wake:
-		}
-		if linger := e.p.n.opts.BatchLinger; linger > 0 {
-			// Group-commit wait — but only while the batch is still shallow.
-			// Once a write's worth of frames has queued, waiting longer adds
-			// latency without saving another syscall.
-			e.mu.Lock()
-			depth := len(e.q)
-			e.mu.Unlock()
-			if depth < batchMaxFrames/4 {
-				time.Sleep(linger)
-			}
 		}
 		for {
 			e.mu.Lock()

@@ -1,7 +1,7 @@
 // Gossip membership: the cluster-wide view of who exists, where to dial
 // them, what they host and how loaded they are (DESIGN.md §12). Every node
-// keeps a table of member entries ordered by (incarnation, version); on v7
-// links the heartbeat beacon carries the full table as a FrameGossip, so a
+// keeps a table of member entries ordered by (incarnation, version); the
+// heartbeat beacon carries the full table as a FrameGossip, so a
 // node that joins by dialing any single live peer (a seed) learns the whole
 // cluster within one gossip round per hop and the mesh completes itself by
 // auto-dialing discovered members.
@@ -13,9 +13,7 @@
 // that would outrank its own — an accusation at its incarnation, or any
 // higher incarnation — outbids it with an incarnation bump, and only a
 // suspicion that survives the refute window unchallenged becomes dead and
-// fires EvPeerDown. Links
-// negotiated below v7 keep the legacy behaviour — their death is declared
-// directly by the watchdog — so mixed-version clusters degrade gracefully.
+// fires EvPeerDown.
 package cluster
 
 import (
@@ -93,9 +91,9 @@ type membership struct {
 // mergeEffects is what a gossip merge asks the node to do, applied outside
 // the membership lock.
 type mergeEffects struct {
-	newlyDead []string      // members that transitioned to dead: emit EvPeerDown
-	claims    []ownerClaim  // component ownership learned from alive entries
-	dialable  []dialTarget  // alive members we should hold a link to
+	newlyDead []string     // members that transitioned to dead: emit EvPeerDown
+	claims    []ownerClaim // component ownership learned from alive entries
+	dialable  []dialTarget // alive members we should hold a link to
 }
 
 type ownerClaim struct{ comp, owner string }
@@ -152,7 +150,7 @@ func (mb *membership) localView() wire.Gossip {
 // A suspect entry is cleared; a dead entry is resurrected with an
 // incarnation bump (we act as the member's proxy — a live link outranks any
 // relayed obituary). Also records the peer's address and components from
-// its hello, which is how pre-v7 members appear in the view at all.
+// its hello, so a member is in the view before its first gossip arrives.
 func (mb *membership) linkUp(id, addr string, comps []string) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
@@ -192,28 +190,6 @@ func (mb *membership) suspect(id string) {
 	}
 	e.m.Status = wire.GossipSuspect
 	e.statusAt = time.Now()
-}
-
-// forceDead marks id dead immediately — the legacy path for links below v7,
-// whose peers cannot refute through gossip. Reports whether the entry
-// transitioned (the caller emits EvPeerDown exactly on transitions).
-func (mb *membership) forceDead(id string) bool {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	e := mb.entries[id]
-	if e == nil {
-		mb.entries[id] = &memberEntry{
-			m:        wire.GossipMember{Node: id, Status: wire.GossipDead},
-			statusAt: time.Now(),
-		}
-		return true
-	}
-	if e.m.Status == wire.GossipDead {
-		return false
-	}
-	e.m.Status = wire.GossipDead
-	e.statusAt = time.Now()
-	return true
 }
 
 // sweep promotes suspects whose refute window expired to dead, returning

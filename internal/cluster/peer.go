@@ -32,21 +32,18 @@ func (l *livenessReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// peer is one live link to another cluster node. The link carries four
-// traffics multiplexed over the frame protocol: heartbeats, remote calls
-// (and their replies), migration payloads (and their acks), and ownership
-// announcements. One goroutine reads, writers serialize on encMu, and every
-// received frame — not just heartbeats — counts as liveness.
+// peer is one live link to another cluster node. The link multiplexes its
+// traffics over the frame protocol: gossip beacons, remote calls and
+// streams (and their replies), replication, migration payloads (and their
+// acks), and ownership announcements. One goroutine reads, writers
+// serialize on encMu, and every received frame — not just beacons — counts
+// as liveness.
 type peer struct {
 	n    *Node
 	id   string
 	conn net.Conn
-	// version is the negotiated wire protocol version of this link:
-	// min(both sides' MaxVersion), at least wire.Version. Fixed before the
-	// pumps start, read-only after.
-	version uint8
-	// egress is the frame-coalescing writer (nil on v2 links, which write
-	// one frame per send).
+	// egress is the frame-coalescing writer for calls, replies, cancels,
+	// stream and replication frames.
 	egress *egress
 
 	encMu sync.Mutex
@@ -90,15 +87,17 @@ func newPeer(n *Node, id string, conn net.Conn, enc *wire.Encoder, dec *wire.Dec
 		streamsIn: map[uint64]*streamIn{},
 		relays:    map[uint64]*core.Stream{},
 	}
+	p.egress = newEgress(p)
 	p.lastSeen.Store(time.Now().UnixNano())
 	return p
 }
 
-// start launches the read pump and the heartbeat beacon.
+// start launches the read pump, the heartbeat beacon and the egress writer.
 func (p *peer) start() {
-	p.n.wg.Add(2)
+	p.n.wg.Add(3)
 	go p.readLoop()
 	go p.heartbeatLoop()
+	go p.egress.flushLoop(p.n.ctx)
 }
 
 // send serializes one frame write. Frames are assembled fully before any
@@ -197,7 +196,7 @@ func (p *peer) failAll(reason string) {
 	p.streamsIn = map[uint64]*streamIn{}
 	p.pmu.Unlock()
 	for corr, cb := range pending {
-		cb(wire.Reply{Corr: corr, Err: reason})
+		cb(wire.Reply{Corr: corr, Err: reason, Kind: wire.KindAppError})
 	}
 	for _, ch := range migs {
 		select {
@@ -230,17 +229,15 @@ func (p *peer) readLoop() {
 		// Liveness is recorded by the livenessReader under the decoder, so
 		// even a frame still in transit counts.
 		switch t {
-		case wire.FrameHeartbeat:
-			// Liveness already recorded.
 		case wire.FrameCall:
-			c, perr := wire.ParseCall(body, p.dec.FrameVersion())
+			c, perr := wire.ParseCall(body)
 			if perr != nil {
 				p.n.peerDown(p, "protocol: "+perr.Error())
 				return
 			}
 			p.dispatchCall(c)
 		case wire.FrameReply:
-			r, perr := wire.ParseReply(body, p.dec.FrameVersion())
+			r, perr := wire.ParseReply(body)
 			if perr != nil {
 				p.n.peerDown(p, "protocol: "+perr.Error())
 				return
@@ -255,14 +252,14 @@ func (p *peer) readLoop() {
 				}
 				switch st {
 				case wire.FrameCall:
-					c, perr := wire.ParseCall(sb, p.dec.FrameVersion())
+					c, perr := wire.ParseCall(sb)
 					if perr != nil {
 						p.n.peerDown(p, "protocol: "+perr.Error())
 						return
 					}
 					p.dispatchCall(c)
 				case wire.FrameReply:
-					r, perr := wire.ParseReply(sb, p.dec.FrameVersion())
+					r, perr := wire.ParseReply(sb)
 					if perr != nil {
 						p.n.peerDown(p, "protocol: "+perr.Error())
 						return
@@ -276,7 +273,7 @@ func (p *peer) readLoop() {
 					}
 					p.handleCancel(c)
 				case wire.FrameStreamOpen:
-					o, perr := wire.ParseStreamOpen(sb, p.dec.FrameVersion())
+					o, perr := wire.ParseStreamOpen(sb)
 					if perr != nil {
 						p.n.peerDown(p, "protocol: "+perr.Error())
 						return
@@ -330,7 +327,7 @@ func (p *peer) readLoop() {
 			}
 			p.handleCancel(c)
 		case wire.FrameStreamOpen:
-			o, perr := wire.ParseStreamOpen(body, p.dec.FrameVersion())
+			o, perr := wire.ParseStreamOpen(body)
 			if perr != nil {
 				p.n.peerDown(p, "protocol: "+perr.Error())
 				return
@@ -480,28 +477,16 @@ func (p *peer) serveCall(c wire.Call) {
 		rep.Err = err.Error()
 		rep.Kind = replyKindOf(err)
 	}
-	if p.egress != nil {
-		// v3 link: replies coalesce with whatever else is outbound; a
-		// non-encodable result set is downgraded to an error reply inside
-		// the egress writer.
-		p.egress.enqueueReply(rep)
-		return
-	}
-	serr := p.send(func(e *wire.Encoder) error { return e.EncodeReply(rep) })
-	if serr != nil && err == nil {
-		// Results the value codec cannot ship become a call error; the
-		// frame was never partially written (bodies build before bytes go
-		// out), so the stream is intact.
-		rep = wire.Reply{Corr: c.Corr, Err: "cluster: " + serr.Error(), Kind: wire.KindAppError}
-		_ = p.send(func(e *wire.Encoder) error { return e.EncodeReply(rep) })
-	}
+	// Replies coalesce with whatever else is outbound; a non-encodable
+	// result set is downgraded to an error reply inside the egress writer.
+	p.egress.enqueueReply(rep)
 }
 
-// replyKindOf maps a serve-side error to the structured reply kind carried
-// on v3 links (and dropped by the v2 encoder — those peers keep the string
-// convention).
+// replyKindOf maps a serve-side error to the structured reply kind.
 func replyKindOf(err error) uint8 {
 	switch {
+	case errors.Is(err, core.ErrOverloaded):
+		return wire.KindOverloaded
 	case errors.Is(err, context.DeadlineExceeded):
 		return wire.KindDeadline
 	case errors.Is(err, context.Canceled):
@@ -548,11 +533,11 @@ func (p *peer) handleMigrate(m wire.Migrate) {
 	}
 }
 
-// heartbeatLoop beacons liveness until the link dies. On v7 links the
-// beacon is the gossip carrier: instead of an empty heartbeat each tick
-// ships the full membership view (the self entry's version bumps per
-// beacon, which is what lets a relayed fresh view refute a suspicion).
-// Any received frame counts as liveness on the other side either way.
+// heartbeatLoop beacons liveness until the link dies. The beacon is the
+// gossip carrier: each tick ships the full membership view (the self
+// entry's version bumps per beacon, which is what lets a relayed fresh view
+// refute a suspicion). Any received frame counts as liveness on the other
+// side.
 func (p *peer) heartbeatLoop() {
 	defer p.n.wg.Done()
 	t := time.NewTicker(p.n.opts.Heartbeat)
@@ -565,14 +550,8 @@ func (p *peer) heartbeatLoop() {
 			if p.down.Load() {
 				return
 			}
-			var err error
-			if p.version >= wire.VersionCluster {
-				g := p.n.membership.localView()
-				err = p.send(func(e *wire.Encoder) error { return e.EncodeGossip(g) })
-			} else {
-				err = p.send(func(e *wire.Encoder) error { return e.EncodeHeartbeat() })
-			}
-			if err != nil {
+			g := p.n.membership.localView()
+			if err := p.send(func(e *wire.Encoder) error { return e.EncodeGossip(g) }); err != nil {
 				p.n.peerDown(p, "heartbeat send: "+err.Error())
 				return
 			}

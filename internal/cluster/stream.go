@@ -1,4 +1,4 @@
-// Cross-node server streams (wire v5): the gateway forwards a stream open
+// Cross-node server streams: the gateway forwards a stream open
 // over the owning peer's link, the serving side relays it into a local
 // manual-credit stream, and chunks/credits/ends ride the same per-link
 // egress batches as calls and replies. Credit is threaded end-to-end: the
@@ -96,10 +96,7 @@ func (p *peer) grantRelay(c wire.StreamCredit) {
 
 // forwardStreamOpen ships one stream open over the wire and registers the
 // correlation mapping that routes chunks, the end frame, credit and cancel
-// for the stream's whole lifetime. A pre-v5 peer cannot parse stream
-// frames, so the open is refused locally with the typed
-// ErrKindStreamUnsupported — the consumer sees core.ErrStreamUnsupported
-// via errors.Is, not a protocol violation on the link.
+// for the stream's whole lifetime.
 func (n *Node) forwardStreamOpen(comp string, m bus.Message, open connector.StreamOpenPayload) {
 	endHere := func(kind connector.ErrKind, reason string) {
 		_ = n.sys.Bus().Send(bus.Message{
@@ -113,22 +110,11 @@ func (n *Node) forwardStreamOpen(comp string, m bus.Message, open connector.Stre
 		endHere(connector.ErrKindApp, fmt.Sprintf("cluster: no live peer hosts %s", comp))
 		return
 	}
-	if p.version < wire.VersionStream {
-		endHere(connector.ErrKindStreamUnsupported, fmt.Sprintf(
-			"cluster: %s.%s: peer %s negotiated wire v%d, streams need v%d",
-			comp, m.Op, p.id, p.version, wire.VersionStream))
+	if m.Deadline != 0 && time.Now().UnixNano() >= m.Deadline {
+		n.shedGateway.Add(1)
+		endHere(connector.ErrKindDeadline,
+			fmt.Sprintf("cluster: %s.%s: deadline exceeded at gateway", comp, m.Op))
 		return
-	}
-	var deadlineNanos int64
-	if m.Deadline != 0 {
-		rem := time.Until(time.Unix(0, m.Deadline))
-		if rem <= 0 {
-			n.shedGateway.Add(1)
-			endHere(connector.ErrKindDeadline,
-				fmt.Sprintf("cluster: %s.%s: deadline exceeded at gateway", comp, m.Op))
-			return
-		}
-		deadlineNanos = int64(rem)
 	}
 	corr := p.corr.Add(1)
 	o := wire.StreamOpen{Corr: corr, Component: comp, Op: m.Op,
@@ -152,15 +138,8 @@ func (n *Node) forwardStreamOpen(comp string, m bus.Message, open connector.Stre
 	n.inflight[callKey{src: m.Src, corr: m.Corr}] = remoteRef{p: p, corr: corr}
 	n.imu.Unlock()
 	p.addStreamIn(corr, &streamIn{src: m.Src, corr: m.Corr, comp: comp, op: m.Op})
-	if p.egress != nil {
-		o.DeadlineNanos = 0 // stamped at write time from the absolute deadline
-		p.egress.enqueueStreamOpen(o, m.Deadline)
-		return
-	}
-	o.DeadlineNanos = deadlineNanos
-	if err := p.send(func(e *wire.Encoder) error { return e.EncodeStreamOpen(o) }); err != nil {
-		n.endStreamIn(p, corr, connector.ErrKindApp, "cluster: "+err.Error())
-	}
+	// The relative budget is stamped at write time from the absolute deadline.
+	p.egress.enqueueStreamOpen(o, m.Deadline)
 }
 
 // creditForward relays a consumer's credit grant over the wire. Credit for
@@ -176,12 +155,7 @@ func (n *Node) creditForward(m bus.Message) {
 	if !ok || ref.p.down.Load() {
 		return
 	}
-	c := wire.StreamCredit{Corr: ref.corr, Credit: uint32(credit)}
-	if ref.p.egress != nil {
-		ref.p.egress.enqueueStreamCredit(c)
-		return
-	}
-	_ = ref.p.send(func(e *wire.Encoder) error { return e.EncodeStreamCredit(c) })
+	ref.p.egress.enqueueStreamCredit(wire.StreamCredit{Corr: ref.corr, Credit: uint32(credit)})
 }
 
 // endStreamIn settles one forwarded stream locally: the correlation
@@ -296,7 +270,7 @@ func (p *peer) serveStream(o wire.StreamOpen) {
 	st, err := cl.StreamManual(ctx, int(o.Window), o.Op, o.Args...)
 	if err != nil {
 		if !ctl.revoked.Load() {
-			p.sendStreamEnd(wire.StreamEnd{Corr: o.Corr, Err: err.Error(), Kind: replyKindOf(err)})
+			p.egress.enqueueStreamEnd(wire.StreamEnd{Corr: o.Corr, Err: err.Error(), Kind: replyKindOf(err)})
 		}
 		return
 	}
@@ -315,30 +289,12 @@ func (p *peer) serveStream(o wire.StreamOpen) {
 				end.Err = rerr.Error()
 				end.Kind = replyKindOf(rerr)
 			}
-			p.sendStreamEnd(end)
+			p.egress.enqueueStreamEnd(end)
 			return
 		}
 		seq++
-		p.sendStreamChunk(wire.StreamChunk{Corr: o.Corr, Seq: seq, Item: item})
+		p.egress.enqueueStreamChunk(wire.StreamChunk{Corr: o.Corr, Seq: seq, Item: item})
 	}
-}
-
-// sendStreamChunk ships one chunk, coalescing through the egress batcher.
-func (p *peer) sendStreamChunk(c wire.StreamChunk) {
-	if p.egress != nil {
-		p.egress.enqueueStreamChunk(c)
-		return
-	}
-	_ = p.send(func(e *wire.Encoder) error { return e.EncodeStreamChunk(c) })
-}
-
-// sendStreamEnd ships one terminal end frame.
-func (p *peer) sendStreamEnd(s wire.StreamEnd) {
-	if p.egress != nil {
-		p.egress.enqueueStreamEnd(s)
-		return
-	}
-	_ = p.send(func(e *wire.Encoder) error { return e.EncodeStreamEnd(s) })
 }
 
 // abortRelayEncode reclaims a relay whose chunk the value codec could not
@@ -353,6 +309,6 @@ func (p *peer) abortRelayEncode(corr uint64) {
 		ctl.revoked.Store(true)
 		ctl.cancel()
 	}
-	p.sendStreamEnd(wire.StreamEnd{Corr: corr, Kind: wire.KindAppError,
+	p.egress.enqueueStreamEnd(wire.StreamEnd{Corr: corr, Kind: wire.KindAppError,
 		Err: "cluster: stream item not wire-encodable"})
 }

@@ -36,7 +36,7 @@ type CallPayload struct {
 }
 
 // ErrKind classifies a call failure structurally, so callers can match with
-// errors.Is instead of the legacy string conventions. The numbering matches
+// errors.Is instead of matching error strings. The numbering matches
 // the wire protocol's reply kind byte (wire.Kind*), so kinds cross peer
 // links unmapped.
 type ErrKind uint8
@@ -48,10 +48,8 @@ const (
 	ErrKindDeadline        ErrKind = 2 // deadline exceeded
 	ErrKindCancelled       ErrKind = 3 // caller cancelled
 	ErrKindNoSuchComponent ErrKind = 4 // destination component does not exist
-	// ErrKindStreamUnsupported classifies a stream-open refused because the
-	// path to the component crosses a peer link negotiated below wire v5.
-	// Numbering shared with wire.KindStreamUnsupported.
-	ErrKindStreamUnsupported ErrKind = 5
+	// Value 5 is unassigned.
+	ErrKindOverloaded ErrKind = 6 // shed by the callee's admission control
 )
 
 // ReplyPayload is the reply payload convention; Err is non-empty on
@@ -59,8 +57,7 @@ const (
 type ReplyPayload struct {
 	Results []any
 	Err     string
-	// Kind classifies Err (ErrKindNone for success or for replies from
-	// legacy sources that only speak the string convention).
+	// Kind classifies Err (ErrKindNone for success).
 	Kind ErrKind
 }
 

@@ -28,10 +28,8 @@ const DefaultStreamWindow = 32
 // an unbounded ring.
 const maxStreamWindow = 4096
 
-// ErrStreamUnsupported is the typed identity of a stream open refused
-// because the component lives behind a peer link negotiated below wire v5:
-// the older peer cannot parse stream frames, so the open fails fast and
-// locally instead of violating the protocol.
+// ErrStreamUnsupported is kept for callers that classify errors against
+// it; no path in this build returns it (every peer link carries streams).
 var ErrStreamUnsupported = errors.New("core: streaming not supported by peer link")
 
 // ErrStreamClosed is returned by Recv after the consumer closed the stream.

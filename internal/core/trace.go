@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 
 	"repro/internal/connector"
 	"repro/internal/telemetry"
@@ -104,15 +103,8 @@ func (c *Client) recordEdgeSpan(tr traceRef, op string, kind telemetry.Kind, out
 
 // outcomeOf classifies a call-shape error into a span outcome. The kind
 // numbering is shared (connector.ErrKind values are telemetry.Outcome
-// values), so classified errors map directly; ErrOverloaded — shed before
-// any kind machinery runs — gets its own outcome.
+// values), so classified errors map directly.
 func outcomeOf(err error) telemetry.Outcome {
-	if err == nil {
-		return telemetry.OutcomeOK
-	}
-	if errors.Is(err, ErrOverloaded) {
-		return telemetry.OutcomeOverload
-	}
 	return telemetry.Outcome(errKindOf(err))
 }
 

@@ -13,21 +13,20 @@ const (
 	KindStream  Kind = 4 // stream open edge (client or serving side)
 )
 
-// Outcome classifies how a span ended. Values 0–5 mirror
+// Outcome classifies how a span ended. Values 0–4 and 6 mirror
 // connector.ErrKind / the wire reply kind byte, so outcomes cross layers
-// unmapped; the shed outcomes extend the numbering.
+// unmapped; value 5 is unassigned and OutcomeShed extends the numbering.
 type Outcome uint8
 
 // Span outcomes.
 const (
-	OutcomeOK                Outcome = 0
-	OutcomeAppError          Outcome = 1
-	OutcomeDeadline          Outcome = 2
-	OutcomeCancelled         Outcome = 3
-	OutcomeNoSuchComponent   Outcome = 4
-	OutcomeStreamUnsupported Outcome = 5
-	OutcomeOverload          Outcome = 6 // rejected by admission control
-	OutcomeShed              Outcome = 7 // expired work shed before service
+	OutcomeOK              Outcome = 0
+	OutcomeAppError        Outcome = 1
+	OutcomeDeadline        Outcome = 2
+	OutcomeCancelled       Outcome = 3
+	OutcomeNoSuchComponent Outcome = 4
+	OutcomeOverload        Outcome = 6 // rejected by admission control
+	OutcomeShed            Outcome = 7 // expired work shed before service
 )
 
 // Span is one recorded hop of a traced call: a plain struct so recording is

@@ -27,7 +27,7 @@ type Snapshot struct {
 	Links       []LinkState        `json:"links,omitempty"`
 	GatewayShed uint64             `json:"gateway_shed"`
 
-	// Elastic-plane sections (cluster.Node fills these on v7 clusters).
+	// Elastic-plane sections (cluster.Node fills these).
 	Members     []MemberState      `json:"members,omitempty"`
 	Replication []ReplicationState `json:"replication,omitempty"`
 	Standbys    []StandbyState     `json:"standbys,omitempty"`
@@ -76,7 +76,7 @@ type AdmissionState struct {
 	Rejected      uint64  `json:"rejected"`
 }
 
-// LinkState is one peer link's health: negotiated wire version, batching
+// LinkState is one peer link's health: wire version, batching
 // efficiency, and heartbeat liveness (nanoseconds since the last frame was
 // read from the peer; -1 when never).
 type LinkState struct {

@@ -1,8 +1,8 @@
 // Package wire implements the versioned binary frame codec of the
 // distribution plane (DESIGN.md §6). Every byte that crosses a peer link —
-// handshakes, heartbeats, remote calls and their replies, migration payloads
-// and ownership announcements — is one length-prefixed frame encoded with
-// the hand-rolled routines in this package. There is deliberately no
+// handshakes, gossip beacons, remote calls and their replies, migration
+// payloads and ownership announcements — is one length-prefixed frame
+// encoded with the hand-rolled routines in this package. There is deliberately no
 // encoding/gob or reflection on the hot path: a remote call marshals its
 // arguments with a tag-per-value scheme into a reusable buffer and costs a
 // handful of appends.
@@ -12,14 +12,14 @@
 //	offset  size  field
 //	0       1     magic0 (0xA5)
 //	1       1     magic1 (0x57)
-//	2       1     protocol version (2 for handshakes, negotiated after)
+//	2       1     protocol version (Version, 7)
 //	3       1     frame type
 //	4       4     body length
 //	8       n     body
 //
-// A decoder rejects frames with a bad magic, an unknown protocol version or
-// a body larger than MaxFrame, so a confused peer fails fast instead of
-// desynchronizing the stream.
+// A decoder rejects frames with a bad magic, a protocol version other than
+// Version or a body larger than MaxFrame, so a confused peer fails fast
+// instead of desynchronizing the stream.
 package wire
 
 import (
@@ -36,59 +36,19 @@ import (
 const (
 	magic0 = 0xA5
 	magic1 = 0x57
-	// Version 2 extended the call frame with the caller's remaining deadline
-	// budget (see Call.DeadlineNanos). It remains the handshake version:
-	// hello/welcome frames are always stamped 2 so a v2 peer can parse them,
-	// and the peers then negotiate min(MaxVersion) for everything after.
-	Version = 2
-	// VersionBatch (3) adds FrameBatch coalescing and the structured
-	// error-kind byte on replies. Negotiated per link via Hello.MaxVersion;
-	// a v3 encoder only emits v3 frames after both sides agreed.
-	VersionBatch = 3
-	// VersionCancel (4) adds FrameCancel: a caller that gives up on an
-	// in-flight call (context cancel, deadline expiry) tells the callee so
-	// the remote serving slot and waiter entry are reclaimed immediately
-	// instead of waiting out the callee-side deadline. Negotiated like v3;
-	// against an older peer the sender simply skips the frame and relies on
-	// deadline-based reclamation.
-	VersionCancel = 4
-	// VersionStream (5) adds server-streaming calls: FrameStreamOpen asks a
-	// peer to start a stream, FrameStreamChunk carries one pushed item,
-	// FrameStreamCredit extends the producer's send window, and
-	// FrameStreamEnd terminates the stream. Chunk, credit and end frames
-	// ride FrameBatch like calls and replies do, so a busy stream amortizes
-	// the syscall identically. Negotiated like v3/v4; a stream-open toward
-	// a pre-v5 peer is refused locally with a typed error (the frames are
-	// never put on an older link).
-	VersionStream = 5
-	// VersionTrace (6) adds the trace-context trailer to call and
-	// stream-open bodies: the 64-bit trace id plus the packed span/parent
-	// word (telemetry.PackSpan), appended after the argument list. The
-	// trailer position makes downgrade free in both directions — ParseCall
-	// and ParseStreamOpen have always discarded trailing bytes, and an
-	// encoder on a link negotiated below v6 simply omits the trailer, so
-	// calls cross mixed-version links fine and spans terminate at the link.
-	VersionTrace = 6
-	// VersionCluster (7) adds the elastic cluster plane: FrameGossip
-	// carries the full membership view (incarnation-numbered member
-	// entries with per-component load and follower assignments) on the
-	// heartbeat cadence, and FrameReplicate/FrameReplicateAck ship warm
-	// standby state snapshots to a follower. Negotiated like v3–v6; none
-	// of these frames is ever put on a link negotiated below 7, so v6
-	// peers interoperate with only the direct-link watchdog and lossy
-	// failover they already had.
-	VersionCluster = 7
-	// MinVersion and MaxVersion bound the versions this build speaks. A
-	// decoder accepts any frame version in the range; what an encoder emits
-	// is fixed by the link's negotiated version.
-	MinVersion = Version
-	MaxVersion = VersionCluster
+	// Version is the one protocol version this build speaks, stamped on
+	// every frame (handshakes included) and the only header version a
+	// decoder accepts. Version 7 is the full frame set: batched egress, the
+	// reply kind byte, cancel, server streams, the trace-context trailer,
+	// gossip and warm-standby replication (DESIGN.md §6, "Wire format").
+	// Hello.MaxVersion is the slot a later build negotiates its successor in.
+	Version = 7
 
 	headerSize = 8
 	// MaxFrame bounds a single frame body (migration states included).
 	MaxFrame = 64 << 20
 	// retainLimit caps the scratch capacity an encoder or decoder keeps
-	// between frames: steady-state traffic (heartbeats, calls) needs a few
+	// between frames: steady-state traffic (gossip, calls) needs a few
 	// hundred bytes, so one near-MaxFrame migration must not pin tens of
 	// megabytes per peer link for the link's lifetime.
 	retainLimit = 1 << 20
@@ -103,8 +63,9 @@ const (
 	FrameHello FrameType = iota + 1
 	// FrameWelcome acknowledges a hello (sent by the accepting side).
 	FrameWelcome
-	// FrameHeartbeat is the liveness beacon; it has an empty body.
-	FrameHeartbeat
+	// Type 3 is reserved: it was the bare heartbeat beacon, which
+	// FrameGossip replaced.
+	_
 	// FrameCall is a remote component invocation.
 	FrameCall
 	// FrameReply answers a FrameCall.
@@ -115,47 +76,46 @@ const (
 	FrameMigrateAck
 	// FrameAnnounce updates component ownership after a migration.
 	FrameAnnounce
-	// FrameBatch (v3 links only) packs several call/reply sub-frames into
-	// one write so a busy link pays one syscall per batch instead of one
+	// FrameBatch packs several call/reply sub-frames into one write so a busy link pays one syscall per batch instead of one
 	// per frame. Body: repeated sub-frames, each `type byte + u32 length +
 	// body` with bodies in the same format as their standalone frames.
 	FrameBatch
-	// FrameCancel (v4 links only) revokes an in-flight FrameCall by
+	// FrameCancel revokes an in-flight FrameCall by
 	// correlation id. Best-effort: the callee drops the pending work (or
 	// interrupts it if already serving) and must NOT send a reply for a
 	// cancelled correlation — the caller has already forgotten it.
 	FrameCancel
-	// FrameStreamOpen (v5 links only) asks the peer to open a server
+	// FrameStreamOpen asks the peer to open a server
 	// stream: one request that will be answered by any number of
 	// FrameStreamChunk frames and exactly one FrameStreamEnd. The body is a
 	// call body plus the consumer's initial credit window.
 	FrameStreamOpen
-	// FrameStreamChunk (v5 links only) carries one pushed stream item,
+	// FrameStreamChunk carries one pushed stream item,
 	// correlated to its FrameStreamOpen. Chunks coalesce into FrameBatch on
 	// a busy link exactly like replies.
 	FrameStreamChunk
-	// FrameStreamCredit (v5 links only) extends the producer's send window
+	// FrameStreamCredit extends the producer's send window
 	// by Credit items — the consumer replenishes as it consumes, and the
 	// producer never has more un-credited chunks in flight than the window.
 	FrameStreamCredit
-	// FrameStreamEnd (v5 links only) terminates a stream: clean end (empty
+	// FrameStreamEnd terminates a stream: clean end (empty
 	// Err) or failure, with the same structured kind byte replies carry.
 	// After sending it the producer forgets the correlation; after
 	// receiving it the consumer does.
 	FrameStreamEnd
-	// FrameGossip (v7 links only) carries the sender's full membership
-	// view: one entry per known member with incarnation, entry version,
-	// status, aggregate load, and the components it hosts (each with its
-	// observed load and replication follower). Sent in place of the bare
-	// heartbeat on v7 links — any frame counts as liveness — so membership
-	// converges at the beacon cadence with no extra traffic class.
+	// FrameGossip carries the sender's full membership view: one entry per
+	// known member with incarnation, entry version, status, aggregate load,
+	// and the components it hosts (each with its observed load and
+	// replication follower). It is the heartbeat beacon — any frame counts
+	// as liveness — so membership converges at the beacon cadence with no
+	// extra traffic class.
 	FrameGossip
-	// FrameReplicate (v7 links only) ships one warm-standby state snapshot
+	// FrameReplicate ships one warm-standby state snapshot
 	// of a component to its follower: monotonically sequenced per
 	// component so a reordered or replayed snapshot can never roll a
 	// standby backwards. Coalesces into FrameBatch like calls do.
 	FrameReplicate
-	// FrameReplicateAck (v7 links only) confirms a standby snapshot was
+	// FrameReplicateAck confirms a standby snapshot was
 	// installed (or refused); the origin tracks the last-acked sequence
 	// per component, which is the replication-lag figure telemetry
 	// reports and the state a promoted follower is guaranteed to have.
@@ -169,8 +129,6 @@ func (t FrameType) String() string {
 		return "hello"
 	case FrameWelcome:
 		return "welcome"
-	case FrameHeartbeat:
-		return "heartbeat"
 	case FrameCall:
 		return "call"
 	case FrameReply:
@@ -438,16 +396,12 @@ type Hello struct {
 	Node       string   // sender's node id
 	System     string   // architecture name, for sanity checking
 	Components []string // components the sender hosts (exported providers)
-	// MaxVersion is the highest protocol version the sender speaks. It
-	// rides as a trailing uvarint that version-2 parsers ignore (ParseHello
-	// has always tolerated trailing bytes), so the field is backward
-	// compatible: absent on the wire means a legacy v2 peer. Both sides use
-	// min(ours, theirs) for every frame after the handshake.
+	// MaxVersion is the highest protocol version the sender speaks (this
+	// build sends Version). ParseHello rejects a hello below Version; the
+	// field is the slot in which a later build negotiates its successor.
 	MaxVersion uint8
 	// Addr is the sender's advertised listen address, so gossip can tell
-	// third parties where to dial this member. Rides as a second trailing
-	// field after MaxVersion — pre-v7 parsers stop at the uvarint and
-	// ignore it; absent on the wire means the peer did not advertise one.
+	// third parties where to dial this member ("" = not advertised).
 	Addr string
 }
 
@@ -471,27 +425,23 @@ type Call struct {
 	// typed client handle uses so its arguments are marshalled exactly once.
 	// Encode-side only; ParseCall always decodes into Args.
 	RawArgs []byte
-	// Trace and Span carry the call's trace context on v6 links: Trace is
-	// the 64-bit trace id (0 = untraced), Span packs the sender's span id
-	// over its parent (telemetry.PackSpan). Encoded as a fixed 16-byte
-	// trailer after the argument list; absent below v6.
+	// Trace and Span carry the call's trace context: Trace is the 64-bit
+	// trace id (0 = untraced), Span packs the sender's span id over its
+	// parent (telemetry.PackSpan). Encoded as a fixed 16-byte trailer after
+	// the argument list.
 	Trace int64
 	Span  int64
 }
 
-// Reply error kinds (v3 links). The numbering is shared with the
-// connector's ErrKind so a kind byte crosses the stack unmapped.
+// Reply error kinds. The numbering is shared with the connector's ErrKind
+// so a kind byte crosses the stack unmapped. Value 5 is unassigned.
 const (
 	KindNone            = 0 // success
 	KindAppError        = 1 // component returned an application error
 	KindDeadline        = 2 // deadline exceeded
 	KindCancelled       = 3 // caller cancelled
 	KindNoSuchComponent = 4 // destination component does not exist
-	// KindStreamUnsupported (v5) classifies a stream-open refused because
-	// the path to the component crosses a link negotiated below v5. It ends
-	// the stream before any frame reaches the older peer, so the caller
-	// gets a typed error instead of a protocol violation.
-	KindStreamUnsupported = 5
+	KindOverloaded      = 6 // shed by the callee's admission control
 )
 
 // Reply answers a Call; Err is non-empty on failure.
@@ -500,8 +450,7 @@ type Reply struct {
 	Err  string
 	// Kind classifies Err structurally (Kind* constants) so callers can
 	// errors.Is against context.DeadlineExceeded and friends without string
-	// matching. Only on the wire for v3 links; replies from v2 peers parse
-	// with KindNone and callers fall back to the string convention.
+	// matching.
 	Kind    uint8
 	Results []any
 }
@@ -569,14 +518,13 @@ type GossipMember struct {
 	Comps       []GossipComp
 }
 
-// Gossip is the full membership view one node pushes to a v7 peer in place
-// of the bare heartbeat.
+// Gossip is the full membership view one node pushes to a peer on every
+// heartbeat beacon.
 type Gossip struct {
 	Members []GossipMember
 }
 
-// Replicate ships one warm-standby state snapshot to a follower (v7 links
-// only). Seq is monotonic per (origin, component); a follower ignores any
+// Replicate ships one warm-standby state snapshot to a follower. Seq is monotonic per (origin, component); a follower ignores any
 // snapshot at or below the sequence it already installed.
 type Replicate struct {
 	Corr      uint64
@@ -596,7 +544,7 @@ type ReplicateAck struct {
 // ---------------------------------------------------------------------------
 // Body encoders/decoders.
 
-// AppendHello encodes h. A zero MaxVersion is normalized to Version (2).
+// AppendHello encodes h.
 func AppendHello(dst []byte, h Hello) []byte {
 	dst = AppendString(dst, h.Node)
 	dst = AppendString(dst, h.System)
@@ -604,15 +552,12 @@ func AppendHello(dst []byte, h Hello) []byte {
 	for _, c := range h.Components {
 		dst = AppendString(dst, c)
 	}
-	max := h.MaxVersion
-	if max < Version {
-		max = Version
-	}
-	dst = binary.AppendUvarint(dst, uint64(max))
+	dst = binary.AppendUvarint(dst, uint64(h.MaxVersion))
 	return AppendString(dst, h.Addr)
 }
 
-// ParseHello decodes a Hello body.
+// ParseHello decodes a Hello body. A hello offering a MaxVersion below
+// Version fails with ErrBadVersion.
 func ParseHello(b []byte) (Hello, error) {
 	var (
 		h   Hello
@@ -639,33 +584,24 @@ func ParseHello(b []byte) (Hello, error) {
 		}
 		h.Components = append(h.Components, c)
 	}
-	h.MaxVersion = Version // absent trailer = legacy v2 peer
-	if len(b) > 0 {
-		max, n := binary.Uvarint(b)
-		if n <= 0 {
-			return h, ErrTruncated
-		}
-		if max > Version && max < 256 {
-			h.MaxVersion = uint8(max)
-		}
-		b = b[n:]
+	offer, n := binary.Uvarint(b)
+	if n <= 0 {
+		return h, ErrTruncated
 	}
-	if len(b) > 0 {
-		if h.Addr, b, err = ReadString(b); err != nil {
-			return h, err
-		}
-		_ = b // further trailing fields belong to newer builds
+	if offer < Version {
+		return h, fmt.Errorf("%w: peer offers %d", ErrBadVersion, offer)
 	}
-	return h, nil
+	h.MaxVersion = uint8(min(offer, math.MaxUint8))
+	// Trailing bytes after Addr belong to newer builds and are ignored.
+	h.Addr, _, err = ReadString(b[n:])
+	return h, err
 }
 
-// AppendCall encodes c for a link speaking the given protocol version.
-// When RawArgs is set it is spliced verbatim in place of Args; the output
-// is byte-identical either way, so the fast path is invisible to the
-// receiving peer. v6 bodies carry the trace-context trailer after the
-// argument list; older bodies stay byte-identical to what older builds
-// emit, which is what lets a trace gracefully truncate at a v5 link.
-func AppendCall(dst []byte, c Call, version uint8) ([]byte, error) {
+// AppendCall encodes c. When RawArgs is set it is spliced verbatim in place
+// of Args; the output is byte-identical either way, so the fast path is
+// invisible to the receiving peer. The trace-context trailer follows the
+// argument list.
+func AppendCall(dst []byte, c Call) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, c.Corr)
 	dst = AppendString(dst, c.Component)
 	dst = AppendString(dst, c.Op)
@@ -677,16 +613,11 @@ func AppendCall(dst []byte, c Call, version uint8) ([]byte, error) {
 	} else if dst, err = AppendValues(dst, c.Args); err != nil {
 		return dst, err
 	}
-	if version >= VersionTrace {
-		dst = appendTrace(dst, c.Trace, c.Span)
-	}
-	return dst, nil
+	return appendTrace(dst, c.Trace, c.Span), nil
 }
 
-// ParseCall decodes a Call body encoded at the given protocol version.
-// Bodies below v6 (and v6 bodies from untraced calls, whose trailer still
-// rides but holds zeros) yield Trace == 0.
-func ParseCall(b []byte, version uint8) (Call, error) {
+// ParseCall decodes a Call body. An untraced call's trailer holds zeros.
+func ParseCall(b []byte) (Call, error) {
 	var (
 		c   Call
 		err error
@@ -715,50 +646,43 @@ func ParseCall(b []byte, version uint8) (Call, error) {
 	if c.Args, b, err = ReadValues(b); err != nil {
 		return c, err
 	}
-	c.Trace, c.Span = parseTrace(b, version)
-	return c, nil
+	c.Trace, c.Span, err = parseTrace(b)
+	return c, err
 }
 
-// traceTrailerSize is the fixed encoding of the v6 trace-context trailer:
+// traceTrailerSize is the fixed encoding of the trace-context trailer:
 // trace id and packed span word, little-endian. Fixed-width rather than
 // varint because trace ids are uniformly random 64-bit values — a varint
 // would average 10 bytes against the fixed 16 for the pair.
 const traceTrailerSize = 16
 
-// appendTrace appends the v6 trace-context trailer.
+// appendTrace appends the trace-context trailer.
 func appendTrace(dst []byte, trace, span int64) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(trace))
 	return binary.LittleEndian.AppendUint64(dst, uint64(span))
 }
 
 // parseTrace reads the trailer from the bytes remaining after a body's
-// argument list. Tolerant by construction: a short or absent trailer (an
-// older encoder, or a v6 body from a build predating a later extension)
-// simply yields an untraced call rather than a frame error.
-func parseTrace(b []byte, version uint8) (trace, span int64) {
-	if version < VersionTrace || len(b) < traceTrailerSize {
-		return 0, 0
+// argument list; a body without one is truncated.
+func parseTrace(b []byte) (trace, span int64, err error) {
+	if len(b) < traceTrailerSize {
+		return 0, 0, ErrTruncated
 	}
 	trace = int64(binary.LittleEndian.Uint64(b))
 	span = int64(binary.LittleEndian.Uint64(b[8:]))
-	return trace, span
+	return trace, span, nil
 }
 
-// AppendReply encodes r for a link speaking the given protocol version:
-// v3 bodies carry the error-kind byte between Err and Results, v2 bodies
-// stay byte-identical to what version-2 builds emit.
-func AppendReply(dst []byte, r Reply, version uint8) ([]byte, error) {
+// AppendReply encodes r; the error-kind byte sits between Err and Results.
+func AppendReply(dst []byte, r Reply) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, r.Corr)
 	dst = AppendString(dst, r.Err)
-	if version >= VersionBatch {
-		dst = append(dst, r.Kind)
-	}
+	dst = append(dst, r.Kind)
 	return AppendValues(dst, r.Results)
 }
 
-// ParseReply decodes a Reply body encoded at the given protocol version.
-// v2 bodies yield Kind == KindNone.
-func ParseReply(b []byte, version uint8) (Reply, error) {
+// ParseReply decodes a Reply body.
+func ParseReply(b []byte) (Reply, error) {
 	var (
 		r   Reply
 		err error
@@ -772,19 +696,15 @@ func ParseReply(b []byte, version uint8) (Reply, error) {
 	if r.Err, b, err = ReadString(b); err != nil {
 		return r, err
 	}
-	if version >= VersionBatch {
-		if len(b) < 1 {
-			return r, ErrTruncated
-		}
-		r.Kind = b[0]
-		b = b[1:]
+	if len(b) < 1 {
+		return r, ErrTruncated
 	}
-	r.Results, _, err = ReadValues(b)
+	r.Kind = b[0]
+	r.Results, _, err = ReadValues(b[1:])
 	return r, err
 }
 
-// Cancel revokes an in-flight call by correlation id (v4 links only). The
-// sender has already settled the call locally (context cancel or deadline
+// Cancel revokes an in-flight call by correlation id. The sender has already settled the call locally (context cancel or deadline
 // expiry), so the receiver frees the serving slot and pending entry and
 // suppresses the reply.
 type Cancel struct {
@@ -805,8 +725,7 @@ func ParseCancel(b []byte) (Cancel, error) {
 	return Cancel{Corr: corr}, nil
 }
 
-// StreamOpen asks the peer to start a server stream (v5 links only). It is
-// a call body plus the consumer's initial credit window: the producer may
+// StreamOpen asks the peer to start a server stream. It is a call body plus the consumer's initial credit window: the producer may
 // have at most Window un-credited chunks in flight before blocking.
 type StreamOpen struct {
 	Corr      uint64
@@ -819,15 +738,14 @@ type StreamOpen struct {
 	// Window is the initial credit window in items (>= 1).
 	Window uint32
 	Args   []any
-	// Trace and Span carry the stream's trace context on v6 links, exactly
-	// as on Call.
+	// Trace and Span carry the stream's trace context, exactly as on Call.
 	Trace int64
 	Span  int64
 }
 
-// AppendStreamOpen encodes o for a link speaking the given protocol
-// version; v6 bodies carry the trace-context trailer after the arguments.
-func AppendStreamOpen(dst []byte, o StreamOpen, version uint8) ([]byte, error) {
+// AppendStreamOpen encodes o; the trace-context trailer follows the
+// arguments.
+func AppendStreamOpen(dst []byte, o StreamOpen) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, o.Corr)
 	dst = AppendString(dst, o.Component)
 	dst = AppendString(dst, o.Op)
@@ -838,15 +756,11 @@ func AppendStreamOpen(dst []byte, o StreamOpen, version uint8) ([]byte, error) {
 	if dst, err = AppendValues(dst, o.Args); err != nil {
 		return dst, err
 	}
-	if version >= VersionTrace {
-		dst = appendTrace(dst, o.Trace, o.Span)
-	}
-	return dst, nil
+	return appendTrace(dst, o.Trace, o.Span), nil
 }
 
-// ParseStreamOpen decodes a StreamOpen body encoded at the given protocol
-// version; bodies below v6 yield Trace == 0.
-func ParseStreamOpen(b []byte, version uint8) (StreamOpen, error) {
+// ParseStreamOpen decodes a StreamOpen body.
+func ParseStreamOpen(b []byte) (StreamOpen, error) {
 	var (
 		o   StreamOpen
 		err error
@@ -881,11 +795,11 @@ func ParseStreamOpen(b []byte, version uint8) (StreamOpen, error) {
 	if o.Args, b, err = ReadValues(b); err != nil {
 		return o, err
 	}
-	o.Trace, o.Span = parseTrace(b, version)
-	return o, nil
+	o.Trace, o.Span, err = parseTrace(b)
+	return o, err
 }
 
-// StreamChunk carries one pushed stream item (v5 links only). Seq is the
+// StreamChunk carries one pushed stream item. Seq is the
 // 1-based position of the item in its stream, for conservation accounting
 // on the consumer side.
 type StreamChunk struct {
@@ -924,8 +838,7 @@ func ParseStreamChunk(b []byte) (StreamChunk, error) {
 	return c, nil
 }
 
-// StreamCredit extends the producer's send window by Credit items (v5
-// links only).
+// StreamCredit extends the producer's send window by Credit items.
 type StreamCredit struct {
 	Corr   uint64
 	Credit uint32
@@ -954,7 +867,7 @@ func ParseStreamCredit(b []byte) (StreamCredit, error) {
 	return c, nil
 }
 
-// StreamEnd terminates a stream (v5 links only): clean end when Err is
+// StreamEnd terminates a stream: clean end when Err is
 // empty, failure otherwise. Kind classifies Err like Reply.Kind does.
 type StreamEnd struct {
 	Corr uint64
@@ -1111,7 +1024,7 @@ func readFloat64(b []byte) (float64, []byte, error) {
 	return math.Float64frombits(binary.BigEndian.Uint64(b)), b[8:], nil
 }
 
-// AppendGossip encodes g (v7 links only). Same hand-rolled tag-free layout
+// AppendGossip encodes g. Same hand-rolled tag-free layout
 // as every other body — the beacon path stays off reflection.
 func AppendGossip(dst []byte, g Gossip) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(g.Members)))
@@ -1200,7 +1113,7 @@ func ParseGossip(b []byte) (Gossip, error) {
 	return g, nil
 }
 
-// AppendReplicate encodes r (v7 links only).
+// AppendReplicate encodes r.
 func AppendReplicate(dst []byte, r Replicate) []byte {
 	dst = binary.AppendUvarint(dst, r.Corr)
 	dst = AppendString(dst, r.Component)
@@ -1230,7 +1143,7 @@ func ParseReplicate(b []byte) (Replicate, error) {
 	return r, err
 }
 
-// AppendReplicateAck encodes a (v7 links only).
+// AppendReplicateAck encodes a.
 func AppendReplicateAck(dst []byte, a ReplicateAck) []byte {
 	dst = binary.AppendUvarint(dst, a.Corr)
 	dst = AppendString(dst, a.Component)
@@ -1270,34 +1183,17 @@ func ParseReplicateAck(b []byte) (ReplicateAck, error) {
 type Encoder struct {
 	w       *bufio.Writer
 	scratch []byte
-	version uint8
 	// batch is assembled independently of scratch so batched sub-frames and
-	// interleaved standalone frames (heartbeats, migrations) never fight
-	// over one buffer.
+	// interleaved standalone frames (gossip, migrations) never fight over
+	// one buffer.
 	batch      []byte
 	batchCount int
 }
 
-// NewEncoder wraps w. The encoder stamps Version (2) on every frame until
-// SetVersion raises it after handshake negotiation.
+// NewEncoder wraps w.
 func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{w: bufio.NewWriter(w), version: Version}
+	return &Encoder{w: bufio.NewWriter(w)}
 }
-
-// SetVersion fixes the protocol version stamped on subsequent frames. Called
-// once after the handshake with the negotiated min; must not race Encode*.
-func (e *Encoder) SetVersion(v uint8) {
-	if v < MinVersion {
-		v = MinVersion
-	}
-	if v > MaxVersion {
-		v = MaxVersion
-	}
-	e.version = v
-}
-
-// WireVersion reports the version the encoder currently stamps.
-func (e *Encoder) WireVersion() uint8 { return e.version }
 
 // Body returns the reusable body buffer, reset to the frame header's length
 // so the frame can be assembled in one allocation-free pass.
@@ -1317,7 +1213,7 @@ func (e *Encoder) flushFrame(t FrameType, buf []byte) error {
 	}
 	buf[0] = magic0
 	buf[1] = magic1
-	buf[2] = e.version
+	buf[2] = Version
 	buf[3] = byte(t)
 	binary.BigEndian.PutUint32(buf[4:8], uint32(body))
 	if cap(buf) <= retainLimit {
@@ -1331,57 +1227,44 @@ func (e *Encoder) flushFrame(t FrameType, buf []byte) error {
 	return e.w.Flush()
 }
 
-// EncodeHello writes a FrameHello or FrameWelcome. Handshake frames are
-// always stamped Version (2) regardless of SetVersion — they are parsed
-// before any negotiation, so they must be readable by the oldest peer.
+// EncodeHello writes a FrameHello or FrameWelcome.
 func (e *Encoder) EncodeHello(t FrameType, h Hello) error {
-	saved := e.version
-	e.version = Version
-	err := e.flushFrame(t, AppendHello(e.body(), h))
-	e.version = saved
-	return err
-}
-
-// EncodeHeartbeat writes a FrameHeartbeat.
-func (e *Encoder) EncodeHeartbeat() error {
-	return e.flushFrame(FrameHeartbeat, e.body())
+	return e.flushFrame(t, AppendHello(e.body(), h))
 }
 
 // EncodeCall writes a FrameCall.
 func (e *Encoder) EncodeCall(c Call) error {
-	buf, err := AppendCall(e.body(), c, e.version)
+	buf, err := AppendCall(e.body(), c)
 	if err != nil {
 		return err
 	}
 	return e.flushFrame(FrameCall, buf)
 }
 
-// EncodeReply writes a FrameReply in the encoder's negotiated version.
+// EncodeReply writes a FrameReply.
 func (e *Encoder) EncodeReply(r Reply) error {
-	buf, err := AppendReply(e.body(), r, e.version)
+	buf, err := AppendReply(e.body(), r)
 	if err != nil {
 		return err
 	}
 	return e.flushFrame(FrameReply, buf)
 }
 
-// EncodeCancel writes a FrameCancel. The caller must have negotiated v4 on
-// the link; against older peers, skip the send and let deadlines reclaim.
+// EncodeCancel writes a FrameCancel.
 func (e *Encoder) EncodeCancel(c Cancel) error {
 	return e.flushFrame(FrameCancel, AppendCancel(e.body(), c))
 }
 
-// EncodeStreamOpen writes a FrameStreamOpen. The caller must have
-// negotiated v5 on this link.
+// EncodeStreamOpen writes a FrameStreamOpen.
 func (e *Encoder) EncodeStreamOpen(o StreamOpen) error {
-	buf, err := AppendStreamOpen(e.body(), o, e.version)
+	buf, err := AppendStreamOpen(e.body(), o)
 	if err != nil {
 		return err
 	}
 	return e.flushFrame(FrameStreamOpen, buf)
 }
 
-// EncodeStreamChunk writes a FrameStreamChunk (v5 links only).
+// EncodeStreamChunk writes a FrameStreamChunk.
 func (e *Encoder) EncodeStreamChunk(c StreamChunk) error {
 	buf, err := AppendStreamChunk(e.body(), c)
 	if err != nil {
@@ -1390,12 +1273,12 @@ func (e *Encoder) EncodeStreamChunk(c StreamChunk) error {
 	return e.flushFrame(FrameStreamChunk, buf)
 }
 
-// EncodeStreamCredit writes a FrameStreamCredit (v5 links only).
+// EncodeStreamCredit writes a FrameStreamCredit.
 func (e *Encoder) EncodeStreamCredit(c StreamCredit) error {
 	return e.flushFrame(FrameStreamCredit, AppendStreamCredit(e.body(), c))
 }
 
-// EncodeStreamEnd writes a FrameStreamEnd (v5 links only).
+// EncodeStreamEnd writes a FrameStreamEnd.
 func (e *Encoder) EncodeStreamEnd(s StreamEnd) error {
 	return e.flushFrame(FrameStreamEnd, AppendStreamEnd(e.body(), s))
 }
@@ -1415,24 +1298,23 @@ func (e *Encoder) EncodeAnnounce(a Announce) error {
 	return e.flushFrame(FrameAnnounce, AppendAnnounce(e.body(), a))
 }
 
-// EncodeGossip writes a FrameGossip. The caller must have negotiated v7 on
-// this link; toward older peers send the bare heartbeat instead.
+// EncodeGossip writes a FrameGossip.
 func (e *Encoder) EncodeGossip(g Gossip) error {
 	return e.flushFrame(FrameGossip, AppendGossip(e.body(), g))
 }
 
-// EncodeReplicate writes a FrameReplicate (v7 links only).
+// EncodeReplicate writes a FrameReplicate.
 func (e *Encoder) EncodeReplicate(r Replicate) error {
 	return e.flushFrame(FrameReplicate, AppendReplicate(e.body(), r))
 }
 
-// EncodeReplicateAck writes a FrameReplicateAck (v7 links only).
+// EncodeReplicateAck writes a FrameReplicateAck.
 func (e *Encoder) EncodeReplicateAck(a ReplicateAck) error {
 	return e.flushFrame(FrameReplicateAck, AppendReplicateAck(e.body(), a))
 }
 
 // ---------------------------------------------------------------------------
-// Batch assembly (v3). A batch is built incrementally — BeginBatch, then any
+// Batch assembly. A batch is built incrementally — BeginBatch, then any
 // mix of BatchAddCall/BatchAddReply, then FlushBatch — and goes out as one
 // FrameBatch write. Sub-frame layout inside the body:
 //
@@ -1467,52 +1349,50 @@ func (e *Encoder) batchAdd(t FrameType, encode func([]byte) ([]byte, error)) err
 
 // BatchAddCall appends a call sub-frame to the open batch.
 func (e *Encoder) BatchAddCall(c Call) error {
-	return e.batchAdd(FrameCall, func(dst []byte) ([]byte, error) { return AppendCall(dst, c, e.version) })
+	return e.batchAdd(FrameCall, func(dst []byte) ([]byte, error) { return AppendCall(dst, c) })
 }
 
 // BatchAddReply appends a reply sub-frame to the open batch.
 func (e *Encoder) BatchAddReply(r Reply) error {
-	return e.batchAdd(FrameReply, func(dst []byte) ([]byte, error) { return AppendReply(dst, r, e.version) })
+	return e.batchAdd(FrameReply, func(dst []byte) ([]byte, error) { return AppendReply(dst, r) })
 }
 
-// BatchAddCancel appends a cancel sub-frame to the open batch (v4 links).
+// BatchAddCancel appends a cancel sub-frame to the open batch.
 func (e *Encoder) BatchAddCancel(c Cancel) error {
 	return e.batchAdd(FrameCancel, func(dst []byte) ([]byte, error) { return AppendCancel(dst, c), nil })
 }
 
-// BatchAddStreamOpen appends a stream-open sub-frame to the pending batch
-// (v5 links only).
+// BatchAddStreamOpen appends a stream-open sub-frame to the pending batch.
 func (e *Encoder) BatchAddStreamOpen(o StreamOpen) error {
-	return e.batchAdd(FrameStreamOpen, func(dst []byte) ([]byte, error) { return AppendStreamOpen(dst, o, e.version) })
+	return e.batchAdd(FrameStreamOpen, func(dst []byte) ([]byte, error) { return AppendStreamOpen(dst, o) })
 }
 
 // BatchAddStreamChunk appends a stream-chunk sub-frame to the pending batch
-// (v5 links only) — the coalescing path a busy stream rides.
+// — the coalescing path a busy stream rides.
 func (e *Encoder) BatchAddStreamChunk(c StreamChunk) error {
 	return e.batchAdd(FrameStreamChunk, func(dst []byte) ([]byte, error) { return AppendStreamChunk(dst, c) })
 }
 
 // BatchAddStreamCredit appends a stream-credit sub-frame to the pending
-// batch (v5 links only).
+// batch.
 func (e *Encoder) BatchAddStreamCredit(c StreamCredit) error {
 	return e.batchAdd(FrameStreamCredit, func(dst []byte) ([]byte, error) { return AppendStreamCredit(dst, c), nil })
 }
 
-// BatchAddStreamEnd appends a stream-end sub-frame to the pending batch
-// (v5 links only).
+// BatchAddStreamEnd appends a stream-end sub-frame to the pending batch.
 func (e *Encoder) BatchAddStreamEnd(s StreamEnd) error {
 	return e.batchAdd(FrameStreamEnd, func(dst []byte) ([]byte, error) { return AppendStreamEnd(dst, s), nil })
 }
 
 // BatchAddReplicate appends a standby-snapshot sub-frame to the pending
-// batch (v7 links only) — replication shares the coalesced egress write
+// batch — replication shares the coalesced egress write
 // with calls and replies instead of paying its own syscall.
 func (e *Encoder) BatchAddReplicate(r Replicate) error {
 	return e.batchAdd(FrameReplicate, func(dst []byte) ([]byte, error) { return AppendReplicate(dst, r), nil })
 }
 
 // BatchAddReplicateAck appends a replicate-ack sub-frame to the pending
-// batch (v7 links only).
+// batch.
 func (e *Encoder) BatchAddReplicateAck(a ReplicateAck) error {
 	return e.batchAdd(FrameReplicateAck, func(dst []byte) ([]byte, error) { return AppendReplicateAck(dst, a), nil })
 }
@@ -1538,7 +1418,7 @@ func (e *Encoder) FlushBatch() error {
 	}
 	buf[0] = magic0
 	buf[1] = magic1
-	buf[2] = e.version
+	buf[2] = Version
 	buf[3] = byte(FrameBatch)
 	binary.BigEndian.PutUint32(buf[4:8], uint32(body))
 	if cap(buf) <= retainLimit {
@@ -1569,19 +1449,14 @@ func ReadBatchFrame(b []byte) (FrameType, []byte, []byte, error) {
 // Decoder reads frames from a stream. Not safe for concurrent use; each
 // peer link owns one reader goroutine.
 type Decoder struct {
-	r       *bufio.Reader
-	body    []byte
-	version uint8
+	r    *bufio.Reader
+	body []byte
 }
 
 // NewDecoder wraps r.
 func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{r: bufio.NewReader(r)}
 }
-
-// FrameVersion reports the protocol version of the frame most recently
-// returned by Next — version-dependent bodies (replies) parse with it.
-func (d *Decoder) FrameVersion() uint8 { return d.version }
 
 // Next reads one frame and returns its type and body. The body slice is
 // valid until the next call to Next (it reuses the decoder's buffer).
@@ -1598,10 +1473,9 @@ func (d *Decoder) Next() (FrameType, []byte, error) {
 	if hdr[0] != magic0 || hdr[1] != magic1 {
 		return 0, nil, ErrBadMagic
 	}
-	if hdr[2] < MinVersion || hdr[2] > MaxVersion {
+	if hdr[2] != Version {
 		return 0, nil, fmt.Errorf("%w: %d", ErrBadVersion, hdr[2])
 	}
-	d.version = hdr[2]
 	t := FrameType(hdr[3])
 	size := binary.BigEndian.Uint32(hdr[4:8])
 	if size > MaxFrame {

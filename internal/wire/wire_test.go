@@ -83,9 +83,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := enc.EncodeHello(FrameHello, hello); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.EncodeHeartbeat(); err != nil {
-		t.Fatal(err)
-	}
 	if err := enc.EncodeCall(call); err != nil {
 		t.Fatal(err)
 	}
@@ -112,15 +109,10 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 
 	typ, body, err = dec.Next()
-	if err != nil || typ != FrameHeartbeat || len(body) != 0 {
-		t.Fatalf("heartbeat: %v len=%d %v", typ, len(body), err)
-	}
-
-	typ, body, err = dec.Next()
 	if err != nil || typ != FrameCall {
 		t.Fatalf("call frame: %v %v", typ, err)
 	}
-	gotCall, err := ParseCall(body, dec.FrameVersion())
+	gotCall, err := ParseCall(body)
 	if err != nil || !reflect.DeepEqual(gotCall, call) {
 		t.Fatalf("call: %#v %v", gotCall, err)
 	}
@@ -129,7 +121,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil || typ != FrameReply {
 		t.Fatalf("reply frame: %v %v", typ, err)
 	}
-	gotReply, err := ParseReply(body, dec.FrameVersion())
+	gotReply, err := ParseReply(body)
 	if err != nil || !reflect.DeepEqual(gotReply, reply) {
 		t.Fatalf("reply: %#v %v", gotReply, err)
 	}
@@ -163,42 +155,33 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestHelloVersionNegotiation(t *testing.T) {
-	// A v3 hello carries MaxVersion as a trailing uvarint.
-	buf := AppendHello(nil, Hello{Node: "n1", System: "S", MaxVersion: VersionBatch})
-	h, err := ParseHello(buf)
-	if err != nil || h.MaxVersion != VersionBatch {
-		t.Fatalf("v3 hello: MaxVersion=%d err=%v", h.MaxVersion, err)
+	// MaxVersion rides the hello; a later build may offer more than Version.
+	for _, offer := range []uint8{Version, Version + 1} {
+		h, err := ParseHello(AppendHello(nil, Hello{Node: "n1", System: "S", MaxVersion: offer}))
+		if err != nil || h.MaxVersion != offer {
+			t.Fatalf("offer %d: MaxVersion=%d err=%v", offer, h.MaxVersion, err)
+		}
 	}
-	// A legacy v2 hello (no trailer) parses as MaxVersion 2. Build one by
-	// hand exactly as the version-2 AppendHello emitted it.
-	legacy := AppendString(nil, "n1")
-	legacy = AppendString(legacy, "S")
-	legacy = append(legacy, 0) // zero components
-	h, err = ParseHello(legacy)
-	if err != nil || h.MaxVersion != Version {
-		t.Fatalf("legacy hello: MaxVersion=%d err=%v", h.MaxVersion, err)
+	// An offer below Version is the one version mismatch, and it has one
+	// error.
+	if _, err := ParseHello(AppendHello(nil, Hello{Node: "n1", System: "S", MaxVersion: Version - 1})); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("old offer: want ErrBadVersion, got %v", err)
 	}
 }
 
 func TestReplyKindRoundTrip(t *testing.T) {
-	r := Reply{Corr: 9, Err: "core: deadline exceeded", Kind: KindDeadline}
-	// v3 preserves the kind byte.
-	buf, err := AppendReply(nil, r, VersionBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseReply(buf, VersionBatch)
-	if err != nil || !reflect.DeepEqual(got, r) {
-		t.Fatalf("v3 reply: %#v %v", got, err)
-	}
-	// v2 drops it (string fallback for legacy peers).
-	buf, err = AppendReply(nil, r, Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = ParseReply(buf, Version)
-	if err != nil || got.Kind != KindNone || got.Err != r.Err {
-		t.Fatalf("v2 reply: %#v %v", got, err)
+	for _, r := range []Reply{
+		{Corr: 9, Err: "core: deadline exceeded", Kind: KindDeadline},
+		{Corr: 10, Err: "core: overloaded", Kind: KindOverloaded},
+	} {
+		buf, err := AppendReply(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParseReply(buf)
+		if err != nil || !reflect.DeepEqual(got, r) {
+			t.Fatalf("reply: %#v %v", got, err)
+		}
 	}
 }
 
@@ -208,11 +191,11 @@ func TestRawArgsEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boxed, err := AppendCall(nil, Call{Corr: 5, Component: "Store", Op: "get", Args: args}, Version)
+	boxed, err := AppendCall(nil, Call{Corr: 5, Component: "Store", Op: "get", Args: args})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := AppendCall(nil, Call{Corr: 5, Component: "Store", Op: "get", RawArgs: raw}, Version)
+	pre, err := AppendCall(nil, Call{Corr: 5, Component: "Store", Op: "get", RawArgs: raw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +207,6 @@ func TestRawArgsEquivalence(t *testing.T) {
 func TestBatchRoundTrip(t *testing.T) {
 	var conn bytes.Buffer
 	enc := NewEncoder(&conn)
-	enc.SetVersion(VersionBatch)
 	dec := NewDecoder(&conn)
 
 	calls := []Call{
@@ -258,7 +240,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		if err != nil || st != FrameCall {
 			t.Fatalf("sub %d: %v %v", i, st, err)
 		}
-		got, err := ParseCall(sb, dec.FrameVersion())
+		got, err := ParseCall(sb)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("sub %d: %#v %v", i, got, err)
 		}
@@ -268,7 +250,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	if err != nil || st != FrameReply {
 		t.Fatalf("reply sub: %v %v", st, err)
 	}
-	gotReply, err := ParseReply(sb, dec.FrameVersion())
+	gotReply, err := ParseReply(sb)
 	if err != nil || !reflect.DeepEqual(gotReply, reply) {
 		t.Fatalf("reply: %#v %v", gotReply, err)
 	}
@@ -292,7 +274,6 @@ func TestBatchRoundTrip(t *testing.T) {
 func TestCancelRoundTrip(t *testing.T) {
 	var conn bytes.Buffer
 	enc := NewEncoder(&conn)
-	enc.SetVersion(VersionCancel)
 	dec := NewDecoder(&conn)
 
 	// Standalone frame.
@@ -353,9 +334,11 @@ func TestDecoderRejectsBadMagic(t *testing.T) {
 }
 
 func TestDecoderRejectsBadVersion(t *testing.T) {
-	dec := NewDecoder(bytes.NewReader([]byte{magic0, magic1, 99, 1, 0, 0, 0, 0}))
-	if _, _, err := dec.Next(); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("want ErrBadVersion, got %v", err)
+	for _, v := range []byte{2, Version - 1, Version + 1, 99} {
+		dec := NewDecoder(bytes.NewReader([]byte{magic0, magic1, v, byte(FrameHello), 0, 0, 0, 0}))
+		if _, _, err := dec.Next(); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("header version %d: want ErrBadVersion, got %v", v, err)
+		}
 	}
 }
 
@@ -371,8 +354,16 @@ func TestTruncatedBodies(t *testing.T) {
 	if _, _, err := ReadString([]byte{5, 'a'}); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("string: want ErrTruncated, got %v", err)
 	}
-	if _, err := ParseCall([]byte{}, MaxVersion); !errors.Is(err, ErrTruncated) {
+	if _, err := ParseCall([]byte{}); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("call: want ErrTruncated, got %v", err)
+	}
+	// The trace trailer is required: a call body without it is truncated.
+	call, err := AppendCall(nil, Call{Corr: 1, Component: "C", Op: "op"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseCall(call[:len(call)-traceTrailerSize]); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("call without trailer: want ErrTruncated, got %v", err)
 	}
 	if _, err := ParseMigrate([]byte{1, 0}); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("migrate: want ErrTruncated, got %v", err)
@@ -406,12 +397,11 @@ type noopWriter struct{}
 
 func (noopWriter) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestStreamFramesRoundTrip covers the four v5 stream frames standalone and
+// TestStreamFramesRoundTrip covers the four stream frames standalone and
 // as batch sub-frames — the coalescing path a flowing stream actually uses.
 func TestStreamFramesRoundTrip(t *testing.T) {
 	var conn bytes.Buffer
 	enc := NewEncoder(&conn)
-	enc.SetVersion(VersionStream)
 	dec := NewDecoder(&conn)
 
 	open := StreamOpen{Corr: 41, Component: "Feed", Op: "list",
@@ -424,7 +414,7 @@ func TestStreamFramesRoundTrip(t *testing.T) {
 	if err != nil || typ != FrameStreamOpen {
 		t.Fatalf("open frame: %v %v", typ, err)
 	}
-	gotOpen, err := ParseStreamOpen(body, dec.FrameVersion())
+	gotOpen, err := ParseStreamOpen(body)
 	if err != nil || gotOpen.Corr != open.Corr || gotOpen.Component != open.Component ||
 		gotOpen.Op != open.Op || gotOpen.Principal != open.Principal ||
 		gotOpen.DeadlineNanos != open.DeadlineNanos || gotOpen.Window != open.Window ||
@@ -516,7 +506,7 @@ func TestStreamFramesRoundTrip(t *testing.T) {
 
 	// Truncated bodies are rejected, not crashed on.
 	for _, parse := range []func([]byte) error{
-		func(b []byte) error { _, err := ParseStreamOpen(b, MaxVersion); return err },
+		func(b []byte) error { _, err := ParseStreamOpen(b); return err },
 		func(b []byte) error { _, err := ParseStreamChunk(b); return err },
 		func(b []byte) error { _, err := ParseStreamCredit(b); return err },
 		func(b []byte) error { _, err := ParseStreamEnd(b); return err },
@@ -530,7 +520,6 @@ func TestStreamFramesRoundTrip(t *testing.T) {
 func TestGossipRoundTrip(t *testing.T) {
 	var conn bytes.Buffer
 	enc := NewEncoder(&conn)
-	enc.SetVersion(VersionCluster)
 	dec := NewDecoder(&conn)
 
 	g := Gossip{Members: []GossipMember{
@@ -564,7 +553,6 @@ func TestGossipRoundTrip(t *testing.T) {
 func TestReplicateRoundTrip(t *testing.T) {
 	var conn bytes.Buffer
 	enc := NewEncoder(&conn)
-	enc.SetVersion(VersionCluster)
 	dec := NewDecoder(&conn)
 
 	rep := Replicate{Corr: 11, Component: "Store", Seq: 42, State: []byte("snapshot-bytes")}
@@ -634,21 +622,21 @@ func TestReplicateRoundTrip(t *testing.T) {
 }
 
 func TestHelloAddrTrailer(t *testing.T) {
-	// New builds advertise a listen address as a second trailing field.
-	h := Hello{Node: "n1", System: "S", MaxVersion: VersionCluster, Addr: "10.0.0.1:7000"}
-	got, err := ParseHello(AppendHello(nil, h))
-	if err != nil || got.Addr != h.Addr || got.MaxVersion != VersionCluster {
+	// The hello advertises the sender's listen address after MaxVersion.
+	h := Hello{Node: "n1", System: "S", MaxVersion: Version, Addr: "10.0.0.1:7000"}
+	buf := AppendHello(nil, h)
+	got, err := ParseHello(buf)
+	if err != nil || got.Addr != h.Addr || got.MaxVersion != Version {
 		t.Fatalf("addr trailer: %#v %v", got, err)
 	}
 
-	// A body that stops at the MaxVersion uvarint (what pre-v7 builds
-	// emit) still parses, with an empty Addr.
-	legacy := AppendString(nil, "n1")
-	legacy = AppendString(legacy, "S")
-	legacy = append(legacy, 0) // zero components
-	legacy = append(legacy, VersionTrace)
-	got, err = ParseHello(legacy)
-	if err != nil || got.Addr != "" || got.MaxVersion != VersionTrace {
-		t.Fatalf("legacy hello: %#v %v", got, err)
+	// Both fields are required: a body that stops before Addr, or before
+	// MaxVersion, is truncated.
+	noAddr := buf[:len(buf)-len(AppendString(nil, h.Addr))]
+	noMax := noAddr[:len(noAddr)-1]
+	for _, b := range [][]byte{noAddr, noMax} {
+		if _, err := ParseHello(b); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("hello of %d bytes: want ErrTruncated, got %v", len(b), err)
+		}
 	}
 }
