@@ -1,9 +1,9 @@
 // Gossip membership: the cluster-wide view of who exists, where to dial
 // them, what they host and how loaded they are (DESIGN.md §12). Every node
 // keeps a table of member entries ordered by (incarnation, version); the
-// heartbeat beacon carries the full table as a FrameGossip, so a
-// node that joins by dialing any single live peer (a seed) learns the whole
-// cluster within one gossip round per hop and the mesh completes itself by
+// heartbeat beacon carries the full table as a FrameGossip, so a node that
+// joins by dialing any single live peer (a seed) learns the whole cluster
+// within one gossip round per hop and the mesh completes itself by
 // auto-dialing discovered members.
 //
 // Failure detection is converged suspicion rather than a single link's

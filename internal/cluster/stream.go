@@ -1,10 +1,10 @@
-// Cross-node server streams: the gateway forwards a stream open
-// over the owning peer's link, the serving side relays it into a local
-// manual-credit stream, and chunks/credits/ends ride the same per-link
-// egress batches as calls and replies. Credit is threaded end-to-end: the
-// remote consumer's grants arrive as FrameStreamCredit and are applied to
-// the relay stream, which forwards them to the producer — so the window
-// that throttles the producer is the real consumer's, not the relay's.
+// Cross-node server streams: the gateway forwards a stream open over the
+// owning peer's link, the serving side relays it into a local manual-credit
+// stream, and chunks/credits/ends ride the same per-link egress batches as
+// calls and replies. Credit is threaded end-to-end: the remote consumer's
+// grants arrive as FrameStreamCredit and are applied to the relay stream,
+// which forwards them to the producer — so the window that throttles the
+// producer is the real consumer's, not the relay's.
 package cluster
 
 import (

@@ -76,9 +76,9 @@ type AdmissionState struct {
 	Rejected      uint64  `json:"rejected"`
 }
 
-// LinkState is one peer link's health: wire version, batching
-// efficiency, and heartbeat liveness (nanoseconds since the last frame was
-// read from the peer; -1 when never).
+// LinkState is one peer link's health: wire version, batching efficiency,
+// and heartbeat liveness (nanoseconds since the last frame was read from the
+// peer; -1 when never).
 type LinkState struct {
 	Peer           string `json:"peer"`
 	WireVersion    int    `json:"wire_version"`

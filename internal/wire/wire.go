@@ -1,11 +1,11 @@
-// Package wire implements the versioned binary frame codec of the
-// distribution plane (DESIGN.md §6). Every byte that crosses a peer link —
-// handshakes, gossip beacons, remote calls and their replies, migration
-// payloads and ownership announcements — is one length-prefixed frame
-// encoded with the hand-rolled routines in this package. There is deliberately no
-// encoding/gob or reflection on the hot path: a remote call marshals its
-// arguments with a tag-per-value scheme into a reusable buffer and costs a
-// handful of appends.
+// Package wire implements the binary frame codec of the distribution plane
+// (DESIGN.md §6). Every byte that crosses a peer link — handshakes, gossip
+// beacons, remote calls and their replies, migration payloads and ownership
+// announcements — is one length-prefixed frame encoded with the hand-rolled
+// routines in this package. There is deliberately no encoding/gob or
+// reflection on the hot path: a remote call marshals its arguments with a
+// tag-per-value scheme into a reusable buffer and costs a handful of
+// appends.
 //
 // Frame layout (all multi-byte integers big-endian unless uvarint):
 //
@@ -76,32 +76,33 @@ const (
 	FrameMigrateAck
 	// FrameAnnounce updates component ownership after a migration.
 	FrameAnnounce
-	// FrameBatch packs several call/reply sub-frames into one write so a busy link pays one syscall per batch instead of one
-	// per frame. Body: repeated sub-frames, each `type byte + u32 length +
-	// body` with bodies in the same format as their standalone frames.
+	// FrameBatch packs several call/reply sub-frames into one write so a
+	// busy link pays one syscall per batch instead of one per frame. Body:
+	// repeated sub-frames, each `type byte + u32 length + body` with bodies
+	// in the same format as their standalone frames.
 	FrameBatch
-	// FrameCancel revokes an in-flight FrameCall by
-	// correlation id. Best-effort: the callee drops the pending work (or
-	// interrupts it if already serving) and must NOT send a reply for a
-	// cancelled correlation — the caller has already forgotten it.
+	// FrameCancel revokes an in-flight FrameCall by correlation id.
+	// Best-effort: the callee drops the pending work (or interrupts it if
+	// already serving) and must NOT send a reply for a cancelled correlation
+	// — the caller has already forgotten it.
 	FrameCancel
-	// FrameStreamOpen asks the peer to open a server
-	// stream: one request that will be answered by any number of
-	// FrameStreamChunk frames and exactly one FrameStreamEnd. The body is a
-	// call body plus the consumer's initial credit window.
+	// FrameStreamOpen asks the peer to open a server stream: one request
+	// that will be answered by any number of FrameStreamChunk frames and
+	// exactly one FrameStreamEnd. The body is a call body plus the
+	// consumer's initial credit window.
 	FrameStreamOpen
-	// FrameStreamChunk carries one pushed stream item,
-	// correlated to its FrameStreamOpen. Chunks coalesce into FrameBatch on
-	// a busy link exactly like replies.
+	// FrameStreamChunk carries one pushed stream item, correlated to its
+	// FrameStreamOpen. Chunks coalesce into FrameBatch on a busy link
+	// exactly like replies.
 	FrameStreamChunk
-	// FrameStreamCredit extends the producer's send window
-	// by Credit items — the consumer replenishes as it consumes, and the
-	// producer never has more un-credited chunks in flight than the window.
+	// FrameStreamCredit extends the producer's send window by Credit items —
+	// the consumer replenishes as it consumes, and the producer never has
+	// more un-credited chunks in flight than the window.
 	FrameStreamCredit
-	// FrameStreamEnd terminates a stream: clean end (empty
-	// Err) or failure, with the same structured kind byte replies carry.
-	// After sending it the producer forgets the correlation; after
-	// receiving it the consumer does.
+	// FrameStreamEnd terminates a stream: clean end (empty Err) or failure,
+	// with the same structured kind byte replies carry. After sending it the
+	// producer forgets the correlation; after receiving it the consumer
+	// does.
 	FrameStreamEnd
 	// FrameGossip carries the sender's full membership view: one entry per
 	// known member with incarnation, entry version, status, aggregate load,
@@ -110,15 +111,15 @@ const (
 	// as liveness — so membership converges at the beacon cadence with no
 	// extra traffic class.
 	FrameGossip
-	// FrameReplicate ships one warm-standby state snapshot
-	// of a component to its follower: monotonically sequenced per
-	// component so a reordered or replayed snapshot can never roll a
-	// standby backwards. Coalesces into FrameBatch like calls do.
+	// FrameReplicate ships one warm-standby state snapshot of a component to
+	// its follower: monotonically sequenced per component so a reordered or
+	// replayed snapshot can never roll a standby backwards. Coalesces into
+	// FrameBatch like calls do.
 	FrameReplicate
-	// FrameReplicateAck confirms a standby snapshot was
-	// installed (or refused); the origin tracks the last-acked sequence
-	// per component, which is the replication-lag figure telemetry
-	// reports and the state a promoted follower is guaranteed to have.
+	// FrameReplicateAck confirms a standby snapshot was installed (or
+	// refused); the origin tracks the last-acked sequence per component,
+	// which is the replication-lag figure telemetry reports and the state a
+	// promoted follower is guaranteed to have.
 	FrameReplicateAck
 )
 
@@ -524,8 +525,9 @@ type Gossip struct {
 	Members []GossipMember
 }
 
-// Replicate ships one warm-standby state snapshot to a follower. Seq is monotonic per (origin, component); a follower ignores any
-// snapshot at or below the sequence it already installed.
+// Replicate ships one warm-standby state snapshot to a follower. Seq is
+// monotonic per (origin, component); a follower ignores any snapshot at or
+// below the sequence it already installed.
 type Replicate struct {
 	Corr      uint64
 	Component string
@@ -704,9 +706,10 @@ func ParseReply(b []byte) (Reply, error) {
 	return r, err
 }
 
-// Cancel revokes an in-flight call by correlation id. The sender has already settled the call locally (context cancel or deadline
-// expiry), so the receiver frees the serving slot and pending entry and
-// suppresses the reply.
+// Cancel revokes an in-flight call by correlation id. The sender has already
+// settled the call locally (context cancel or deadline expiry), so the
+// receiver frees the serving slot and pending entry and suppresses the
+// reply.
 type Cancel struct {
 	Corr uint64
 }
@@ -725,8 +728,9 @@ func ParseCancel(b []byte) (Cancel, error) {
 	return Cancel{Corr: corr}, nil
 }
 
-// StreamOpen asks the peer to start a server stream. It is a call body plus the consumer's initial credit window: the producer may
-// have at most Window un-credited chunks in flight before blocking.
+// StreamOpen asks the peer to start a server stream. It is a call body plus
+// the consumer's initial credit window: the producer may have at most Window
+// un-credited chunks in flight before blocking.
 type StreamOpen struct {
 	Corr      uint64
 	Component string
@@ -799,9 +803,8 @@ func ParseStreamOpen(b []byte) (StreamOpen, error) {
 	return o, err
 }
 
-// StreamChunk carries one pushed stream item. Seq is the
-// 1-based position of the item in its stream, for conservation accounting
-// on the consumer side.
+// StreamChunk carries one pushed stream item. Seq is the 1-based position of
+// the item in its stream, for conservation accounting on the consumer side.
 type StreamChunk struct {
 	Corr uint64
 	Seq  uint64
@@ -867,8 +870,8 @@ func ParseStreamCredit(b []byte) (StreamCredit, error) {
 	return c, nil
 }
 
-// StreamEnd terminates a stream: clean end when Err is
-// empty, failure otherwise. Kind classifies Err like Reply.Kind does.
+// StreamEnd terminates a stream: clean end when Err is empty, failure
+// otherwise. Kind classifies Err like Reply.Kind does.
 type StreamEnd struct {
 	Corr uint64
 	Err  string
@@ -1024,8 +1027,8 @@ func readFloat64(b []byte) (float64, []byte, error) {
 	return math.Float64frombits(binary.BigEndian.Uint64(b)), b[8:], nil
 }
 
-// AppendGossip encodes g. Same hand-rolled tag-free layout
-// as every other body — the beacon path stays off reflection.
+// AppendGossip encodes g. Same hand-rolled tag-free layout as every other
+// body — the beacon path stays off reflection.
 func AppendGossip(dst []byte, g Gossip) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(g.Members)))
 	for _, m := range g.Members {
