@@ -196,13 +196,29 @@ func BenchmarkReplicateShipAck(b *testing.B) {
 		}
 		return 0
 	}
+	// Warm up: ReplicateNow ships nothing ("no eligible follower") until
+	// gossip has shown n2 to n1's replicator, so ship once and wait for its
+	// ack before timing.
+	deadline := time.Now().Add(10 * time.Second)
+	for rep.ReplicateNow() != 1 {
+		if time.Now().After(deadline) {
+			b.Fatal("no eligible follower within 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for acked() < 1 {
+		if time.Now().After(deadline) {
+			b.Fatal("warm-up snapshot not acked within 10s")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if shipped := rep.ReplicateNow(); shipped != 1 {
 			b.Fatalf("shipped %d, want 1", shipped)
 		}
-		want := uint64(i + 1)
+		want := uint64(i + 2) // the warm-up ship acked sequence 1
 		for acked() < want {
 			time.Sleep(50 * time.Microsecond)
 		}

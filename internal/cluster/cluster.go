@@ -312,7 +312,7 @@ func (n *Node) Join(addr string) error {
 	seen := new(atomic.Int64)
 	dec := wire.NewDecoder(&livenessReader{r: conn, seen: seen})
 	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	if err := enc.EncodeHello(wire.FrameHello, n.hello()); err != nil {
+	if err := writeFrame(enc, wire.FrameHello, n.appendHello); err != nil {
 		conn.Close()
 		return fmt.Errorf("cluster: join %s: %w", addr, err)
 	}
@@ -332,10 +332,11 @@ func (n *Node) Join(addr string) error {
 	return n.addPeer(conn, enc, dec, h, seen)
 }
 
-// hello builds this node's handshake payload.
-func (n *Node) hello() wire.Hello {
-	return wire.Hello{Node: n.id, System: n.sys.Name(), Components: n.sys.LocalComponents(),
-		MaxVersion: wire.Version, Addr: n.opts.Advertise}
+// appendHello appends this node's handshake payload, the body of its hello
+// or welcome.
+func (n *Node) appendHello(dst []byte) ([]byte, error) {
+	return wire.AppendHello(dst, wire.Hello{Node: n.id, System: n.sys.Name(),
+		Components: n.sys.LocalComponents(), MaxVersion: wire.Version, Addr: n.opts.Advertise}), nil
 }
 
 // Members returns the gossip membership view, this node included, sorted by
@@ -516,7 +517,7 @@ func (n *Node) handshakeInbound(conn net.Conn) {
 		err = fmt.Errorf("%w: %q vs %q", ErrSystemName, h.System, n.sys.Name())
 	}
 	if err == nil {
-		err = enc.EncodeHello(wire.FrameWelcome, n.hello())
+		err = writeFrame(enc, wire.FrameWelcome, n.appendHello)
 	}
 	if err != nil {
 		conn.Close()

@@ -1,10 +1,10 @@
 // Per-peer-link frame coalescing: the egress queue gathers outbound call
 // and reply frames while the link's writer is busy and packs them into one
-// wire.FrameBatch write, cutting the syscall count per remote call from one
-// write each way to one write per batch. Batching is group-commit style —
-// no artificial delay: a flush starts as soon as the writer is free, and
-// whatever queued during the previous write rides the next batch. Every
-// peer link has an egress.
+// write — a lone frame plain, several as one wire.FrameBatch — cutting the
+// syscall count per remote call from one write each way to one write per
+// batch. Batching is group-commit style — no artificial delay: a flush
+// starts as soon as the writer is free, and whatever queued during the
+// previous write rides the next batch. Every peer link has an egress.
 package cluster
 
 import (
@@ -29,7 +29,7 @@ const (
 // time — a call that sat in the queue ships with its true remaining credit,
 // and one that expired there fails locally without crossing the wire.
 type egressItem struct {
-	kind         egressKind
+	kind         wire.FrameType
 	call         wire.Call
 	reply        wire.Reply
 	cancel       wire.Cancel
@@ -42,20 +42,44 @@ type egressItem struct {
 	absDeadline  int64 // unix nanos, 0 = none; calls and stream opens only
 }
 
-// egressKind discriminates the frame an egressItem carries.
-type egressKind uint8
+// appendBody appends the item's frame body to dst.
+func (it *egressItem) appendBody(dst []byte) ([]byte, error) {
+	switch it.kind {
+	case wire.FrameCall:
+		return wire.AppendCall(dst, it.call)
+	case wire.FrameReply:
+		return wire.AppendReply(dst, it.reply)
+	case wire.FrameCancel:
+		return wire.AppendCancel(dst, it.cancel), nil
+	case wire.FrameStreamOpen:
+		return wire.AppendStreamOpen(dst, it.streamOpen)
+	case wire.FrameStreamChunk:
+		return wire.AppendStreamChunk(dst, it.streamChunk)
+	case wire.FrameStreamCredit:
+		return wire.AppendStreamCredit(dst, it.streamCredit), nil
+	case wire.FrameStreamEnd:
+		return wire.AppendStreamEnd(dst, it.streamEnd), nil
+	case wire.FrameReplicate:
+		return wire.AppendReplicate(dst, it.replicate), nil
+	default:
+		return wire.AppendReplicateAck(dst, it.replicateAck), nil
+	}
+}
 
-const (
-	egressCall egressKind = iota
-	egressReply
-	egressCancel
-	egressStreamOpen
-	egressStreamChunk
-	egressStreamCredit
-	egressStreamEnd
-	egressReplicate
-	egressReplicateAck
-)
+// stampDeadline sets a call's or stream open's relative budget from its
+// absolute deadline and reports false when that deadline has passed.
+func (it *egressItem) stampDeadline(now int64) bool {
+	if it.absDeadline == 0 {
+		return true
+	}
+	rem := it.absDeadline - now
+	if it.kind == wire.FrameCall {
+		it.call.DeadlineNanos = rem
+	} else {
+		it.streamOpen.DeadlineNanos = rem
+	}
+	return rem > 0
+}
 
 // egress is the coalescing writer of one peer link.
 type egress struct {
@@ -74,56 +98,56 @@ func newEgress(p *peer) *egress {
 
 // enqueueCall queues an outbound remote call.
 func (e *egress) enqueueCall(c wire.Call, absDeadline int64) {
-	e.enqueue(egressItem{kind: egressCall, call: c, absDeadline: absDeadline})
+	e.enqueue(egressItem{kind: wire.FrameCall, call: c, absDeadline: absDeadline})
 }
 
 // enqueueReply queues an outbound reply.
 func (e *egress) enqueueReply(r wire.Reply) {
-	e.enqueue(egressItem{kind: egressReply, reply: r})
+	e.enqueue(egressItem{kind: wire.FrameReply, reply: r})
 }
 
 // enqueueCancel queues an outbound call revocation. Cancels coalesce with
 // the rest of the traffic; a cancel overtaking its own call is impossible
 // because the queue preserves enqueue order.
 func (e *egress) enqueueCancel(c wire.Cancel) {
-	e.enqueue(egressItem{kind: egressCancel, cancel: c})
+	e.enqueue(egressItem{kind: wire.FrameCancel, cancel: c})
 }
 
 // enqueueStreamOpen queues an outbound stream open. Like a call it carries
 // the caller's absolute deadline, so the relative budget is stamped at write
 // time and an open that expired in the queue fails locally.
 func (e *egress) enqueueStreamOpen(o wire.StreamOpen, absDeadline int64) {
-	e.enqueue(egressItem{kind: egressStreamOpen, streamOpen: o, absDeadline: absDeadline})
+	e.enqueue(egressItem{kind: wire.FrameStreamOpen, streamOpen: o, absDeadline: absDeadline})
 }
 
 // enqueueStreamChunk queues one outbound stream item. Chunks coalesce with
 // calls and replies into the same batch writes — this is what collapses a
 // stream's per-item wire cost to a fraction of a syscall.
 func (e *egress) enqueueStreamChunk(c wire.StreamChunk) {
-	e.enqueue(egressItem{kind: egressStreamChunk, streamChunk: c})
+	e.enqueue(egressItem{kind: wire.FrameStreamChunk, streamChunk: c})
 }
 
 // enqueueStreamCredit queues one outbound credit grant.
 func (e *egress) enqueueStreamCredit(c wire.StreamCredit) {
-	e.enqueue(egressItem{kind: egressStreamCredit, streamCredit: c})
+	e.enqueue(egressItem{kind: wire.FrameStreamCredit, streamCredit: c})
 }
 
 // enqueueStreamEnd queues one outbound terminal end frame. The queue
 // preserves enqueue order, so an end can never overtake its own chunks.
 func (e *egress) enqueueStreamEnd(s wire.StreamEnd) {
-	e.enqueue(egressItem{kind: egressStreamEnd, streamEnd: s})
+	e.enqueue(egressItem{kind: wire.FrameStreamEnd, streamEnd: s})
 }
 
 // enqueueReplicate queues one outbound warm-standby snapshot. Replication
 // traffic coalesces with calls and replies — shipping a snapshot costs a
 // fraction of a syscall when the link is busy.
 func (e *egress) enqueueReplicate(r wire.Replicate) {
-	e.enqueue(egressItem{kind: egressReplicate, replicate: r})
+	e.enqueue(egressItem{kind: wire.FrameReplicate, replicate: r})
 }
 
 // enqueueReplicateAck queues one outbound replication acknowledgement.
 func (e *egress) enqueueReplicateAck(a wire.ReplicateAck) {
-	e.enqueue(egressItem{kind: egressReplicateAck, replicateAck: a})
+	e.enqueue(egressItem{kind: wire.FrameReplicateAck, replicateAck: a})
 }
 
 func (e *egress) enqueue(it egressItem) {
@@ -138,7 +162,7 @@ func (e *egress) enqueue(it egressItem) {
 
 // flushLoop drains the queue until the node closes or the link dies. Each
 // wake-up swaps the queue against an empty recycled array and writes the
-// whole swath as one batch; anything enqueued during that write is picked
+// whole swath in one write (more at the batch caps); anything enqueued during that write is picked
 // up by the next inner iteration without waiting for another wake.
 func (e *egress) flushLoop(ctx context.Context) {
 	defer e.p.n.wg.Done()
@@ -171,220 +195,101 @@ func (e *egress) flushLoop(ctx context.Context) {
 	}
 }
 
-// writeBatch ships one swath of queued frames. A single item goes out as a
-// plain frame (no sub-frame overhead); more become FrameBatch writes,
-// force-flushed at the batch caps. Deadline credit is re-derived per call
-// here, expired calls fail locally, and a reply whose results the value
-// codec cannot ship is downgraded to an error reply in place.
+// errQueueExpired marks a call or stream open whose deadline passed while it
+// sat in the egress queue.
+var errQueueExpired = errors.New("deadline exceeded in egress queue")
+
+// writeBatch ships one swath of queued frames through the link's encoder: a
+// lone frame goes out plain, more as FrameBatch writes force-flushed at the
+// batch caps. Deadline credit is re-derived per call here; an expired call
+// or a frame the codec cannot ship is settled locally by settle once the
+// writer is released, and only a transport error takes the link down.
 func (e *egress) writeBatch(items []egressItem) {
 	p := e.p
 	now := time.Now().UnixNano()
-
-	// Pre-scan calls and stream opens: stamp remaining budgets, collect
-	// expired ones.
-	var expired []wire.Call
-	var expiredOpens []wire.StreamOpen
-	live := items[:0]
-	for i := range items {
-		it := items[i]
-		if it.absDeadline != 0 {
-			switch it.kind {
-			case egressCall:
-				rem := it.absDeadline - now
-				if rem <= 0 {
-					expired = append(expired, it.call)
-					continue
-				}
-				it.call.DeadlineNanos = rem
-			case egressStreamOpen:
-				rem := it.absDeadline - now
-				if rem <= 0 {
-					expiredOpens = append(expiredOpens, it.streamOpen)
-					continue
-				}
-				it.streamOpen.DeadlineNanos = rem
-			}
-		}
-		live = append(live, it)
-	}
-	for _, c := range expired {
-		p.n.shedGateway.Add(1)
-		if cb, ok := p.takePending(c.Corr); ok {
-			cb(wire.Reply{Corr: c.Corr, Kind: wire.KindDeadline,
-				Err: "cluster: " + c.Component + "." + c.Op + ": deadline exceeded in egress queue"})
-		}
-	}
-	for _, o := range expiredOpens {
-		p.n.shedGateway.Add(1)
-		p.n.endStreamIn(p, o.Corr, connector.ErrKindDeadline,
-			"cluster: "+o.Component+"."+o.Op+": deadline exceeded in egress queue")
-	}
-	if len(live) == 0 {
-		return
-	}
-
-	var failed []wire.Call              // calls whose arguments failed to encode
-	var failedOpens []wire.StreamOpen   // stream opens whose arguments failed to encode
-	var failedChunks []wire.StreamChunk // chunks whose item failed to encode
+	var failed []egressFailure
 	p.encMu.Lock()
 	_ = p.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	enc := p.enc
+	writes := enc.Writes()
 	var werr error
-	if len(live) == 1 {
-		it := live[0]
-		switch it.kind {
-		case egressReply:
-			werr = e.encodeReplyLocked(it.reply, func(r wire.Reply) error { return enc.EncodeReply(r) })
-		case egressCancel:
-			werr = enc.EncodeCancel(it.cancel)
-		case egressStreamOpen:
-			if werr = enc.EncodeStreamOpen(it.streamOpen); werr != nil && wireDataError(werr) {
-				failedOpens = append(failedOpens, it.streamOpen)
-				werr = nil
-			}
-		case egressStreamChunk:
-			if werr = enc.EncodeStreamChunk(it.streamChunk); werr != nil && wireDataError(werr) {
-				failedChunks = append(failedChunks, it.streamChunk)
-				werr = nil
-			}
-		case egressStreamCredit:
-			werr = enc.EncodeStreamCredit(it.streamCredit)
-		case egressStreamEnd:
-			werr = enc.EncodeStreamEnd(it.streamEnd)
-		case egressReplicate:
-			if werr = enc.EncodeReplicate(it.replicate); werr != nil && wireDataError(werr) {
-				// An oversized snapshot is a data problem, not a link problem:
-				// drop it (the replicator's next round retries; ack lag shows
-				// the gap) and keep the link up.
-				p.n.opts.Logf("cluster %s: replicate %s seq=%d to %s dropped: %v",
-					p.n.id, it.replicate.Component, it.replicate.Seq, p.id, werr)
-				werr = nil
-			}
-		case egressReplicateAck:
-			werr = enc.EncodeReplicateAck(it.replicateAck)
-		default:
-			if werr = enc.EncodeCall(it.call); werr != nil && wireDataError(werr) {
-				failed = append(failed, it.call)
-				werr = nil
-			}
+	for i := range items {
+		it := &items[i]
+		if !it.stampDeadline(now) {
+			failed = append(failed, egressFailure{it, errQueueExpired})
+			continue
 		}
-		if werr == nil {
-			p.countBatchWrite()
-			p.countBatchFrame()
-		}
-	} else {
-		enc.BeginBatch()
-		for _, it := range live {
-			switch it.kind {
-			case egressReply:
-				if werr = e.encodeReplyLocked(it.reply, enc.BatchAddReply); werr != nil {
-					break
-				}
-			case egressCancel:
-				if werr = enc.BatchAddCancel(it.cancel); werr != nil {
-					break
-				}
-			case egressStreamOpen:
-				if aerr := enc.BatchAddStreamOpen(it.streamOpen); aerr != nil {
-					if !wireDataError(aerr) {
-						werr = aerr
-						break
-					}
-					failedOpens = append(failedOpens, it.streamOpen)
-					continue
-				}
-			case egressStreamChunk:
-				if aerr := enc.BatchAddStreamChunk(it.streamChunk); aerr != nil {
-					if !wireDataError(aerr) {
-						werr = aerr
-						break
-					}
-					failedChunks = append(failedChunks, it.streamChunk)
-					continue
-				}
-			case egressStreamCredit:
-				if werr = enc.BatchAddStreamCredit(it.streamCredit); werr != nil {
-					break
-				}
-			case egressStreamEnd:
-				if werr = enc.BatchAddStreamEnd(it.streamEnd); werr != nil {
-					break
-				}
-			case egressReplicate:
-				if aerr := enc.BatchAddReplicate(it.replicate); aerr != nil {
-					if !wireDataError(aerr) {
-						werr = aerr
-						break
-					}
-					p.n.opts.Logf("cluster %s: replicate %s seq=%d to %s dropped: %v",
-						p.n.id, it.replicate.Component, it.replicate.Seq, p.id, aerr)
-					continue
-				}
-			case egressReplicateAck:
-				if werr = enc.BatchAddReplicateAck(it.replicateAck); werr != nil {
-					break
-				}
-			default:
-				if aerr := enc.BatchAddCall(it.call); aerr != nil {
-					if !wireDataError(aerr) {
-						werr = aerr
-						break
-					}
-					failed = append(failed, it.call)
-					continue
-				}
-			}
-			if werr != nil {
+		if err := enc.Add(it.kind, it.appendBody); err != nil {
+			if !wireDataError(err) {
+				werr = err
 				break
 			}
-			p.countBatchFrame()
-			if enc.BatchLen() >= batchMaxBytes || enc.BatchCount() >= batchMaxFrames {
-				p.countBatchWrite()
-				if werr = enc.FlushBatch(); werr != nil {
-					break
-				}
+			failed = append(failed, egressFailure{it, err})
+			continue
+		}
+		p.countBatchFrame()
+		if frames, bytes := enc.Pending(); bytes >= batchMaxBytes || frames >= batchMaxFrames {
+			if werr = enc.Flush(); werr != nil {
+				break
 			}
 		}
-		if werr == nil && enc.BatchCount() > 0 {
-			p.countBatchWrite()
-			werr = enc.FlushBatch()
-		}
 	}
+	if werr == nil {
+		werr = enc.Flush()
+	}
+	p.countBatchWrites(uint64(enc.Writes() - writes))
 	p.encMu.Unlock()
 
-	for _, c := range failed {
-		if cb, ok := p.takePending(c.Corr); ok {
-			cb(wire.Reply{Corr: c.Corr, Kind: wire.KindAppError,
-				Err: "cluster: " + c.Component + "." + c.Op + ": arguments not wire-encodable"})
-		}
-	}
-	for _, o := range failedOpens {
-		p.n.endStreamIn(p, o.Corr, connector.ErrKindApp,
-			"cluster: "+o.Component+"."+o.Op+": arguments not wire-encodable")
-	}
-	for _, c := range failedChunks {
-		p.abortRelayEncode(c.Corr)
+	for _, f := range failed {
+		e.settle(f.it, f.err)
 	}
 	if werr != nil {
 		p.n.peerDown(p, "egress write: "+werr.Error())
 	}
 }
 
-// encodeReplyLocked encodes one reply via add, downgrading a reply whose
-// results the value codec cannot ship into an error reply (mirroring the
-// direct path's second-reply fallback). Returns only transport errors.
-func (e *egress) encodeReplyLocked(r wire.Reply, add func(wire.Reply) error) error {
-	err := add(r)
-	if err != nil && wireDataError(err) {
-		return add(wire.Reply{Corr: r.Corr, Err: "cluster: " + err.Error(), Kind: wire.KindAppError})
+// egressFailure is a queued frame that did not go out, with the reason.
+type egressFailure struct {
+	it  *egressItem
+	err error
+}
+
+// settle answers locally for a frame that never crossed the wire — expired
+// in the queue (errQueueExpired) or not encodable — so the link stays up.
+func (e *egress) settle(it *egressItem, err error) {
+	p := e.p
+	kind, why := connector.ErrKindApp, "arguments not wire-encodable"
+	if err == errQueueExpired {
+		p.n.shedGateway.Add(1)
+		kind, why = connector.ErrKindDeadline, err.Error()
 	}
-	return err
+	switch it.kind {
+	case wire.FrameCall:
+		c := it.call
+		if cb, ok := p.takePending(c.Corr); ok {
+			cb(wire.Reply{Corr: c.Corr, Kind: uint8(kind), Err: "cluster: " + c.Component + "." + c.Op + ": " + why})
+		}
+	case wire.FrameStreamOpen:
+		o := it.streamOpen
+		p.n.endStreamIn(p, o.Corr, kind, "cluster: "+o.Component+"."+o.Op+": "+why)
+	case wire.FrameStreamChunk:
+		p.abortRelayEncode(it.streamChunk.Corr)
+	case wire.FrameReply:
+		// Results the value codec cannot ship become an error reply; it
+		// rides the next write.
+		e.enqueueReply(wire.Reply{Corr: it.reply.Corr, Err: "cluster: " + err.Error(), Kind: wire.KindAppError})
+	case wire.FrameReplicate:
+		// The replicator's next round retries, and ack lag shows the gap.
+		p.n.opts.Logf("cluster %s: replicate %s seq=%d to %s dropped: %v",
+			p.n.id, it.replicate.Component, it.replicate.Seq, p.id, err)
+	default:
+		p.n.opts.Logf("cluster %s: %v frame to %s dropped: %v", p.n.id, it.kind, p.id, err)
+	}
 }
 
 // wireDataError reports whether err is a per-frame encoding problem (bad
 // value type, oversized body) rather than a transport failure: the frame is
 // dropped and answered locally, the link stays up.
 func wireDataError(err error) bool {
-	return err != nil &&
-		(errors.Is(err, wire.ErrUnsupportedType) || errors.Is(err, wire.ErrFrameTooBig))
+	return errors.Is(err, wire.ErrUnsupportedType) || errors.Is(err, wire.ErrFrameTooBig)
 }

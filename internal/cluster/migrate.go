@@ -30,12 +30,12 @@ func (n *Node) migrateTo(component string, p *peer) error {
 		ack := make(chan string, 1)
 		p.addMig(corr, ack)
 		defer p.dropMig(corr)
-		err := p.send(func(e *wire.Encoder) error {
-			return e.EncodeMigrate(wire.Migrate{
+		err := p.send(wire.FrameMigrate, func(dst []byte) ([]byte, error) {
+			return wire.AppendMigrate(dst, wire.Migrate{
 				Corr: corr, Component: h.Component,
 				Implements: h.Decl.Implements, Properties: h.Decl.Properties,
 				CPU: h.CPU, HasState: h.HasState, State: h.State,
-			})
+			}), nil
 		})
 		if err != nil {
 			return err
@@ -139,7 +139,9 @@ func (n *Node) announce(a wire.Announce, except string) {
 	}
 	n.mu.Unlock()
 	for _, p := range peers {
-		if err := p.send(func(e *wire.Encoder) error { return e.EncodeAnnounce(a) }); err != nil {
+		if err := p.send(wire.FrameAnnounce, func(dst []byte) ([]byte, error) {
+			return wire.AppendAnnounce(dst, a), nil
+		}); err != nil {
 			n.opts.Logf("cluster %s: announce to %s: %v", n.id, p.id, err)
 		}
 	}

@@ -100,21 +100,30 @@ func (p *peer) start() {
 	go p.egress.flushLoop(p.n.ctx)
 }
 
-// send serializes one frame write. Frames are assembled fully before any
-// byte hits the socket (the encoder builds the body first), so a failed
-// encode never desynchronizes the stream.
-func (p *peer) send(encode func(*wire.Encoder) error) error {
+// send writes one frame of type t on its own, serialized with the egress
+// writer; body appends the frame body. The frame is assembled fully before
+// any byte hits the socket, so a failed encode never desynchronizes the
+// stream.
+func (p *peer) send(t wire.FrameType, body func([]byte) ([]byte, error)) error {
 	p.encMu.Lock()
 	defer p.encMu.Unlock()
 	_ = p.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	return encode(p.enc)
+	return writeFrame(p.enc, t, body)
 }
 
-// countBatchWrite bumps the coalesced-write counters, node-wide and
+// writeFrame writes one frame of type t through enc on its own.
+func writeFrame(enc *wire.Encoder, t wire.FrameType, body func([]byte) ([]byte, error)) error {
+	if err := enc.Add(t, body); err != nil {
+		return err
+	}
+	return enc.Flush()
+}
+
+// countBatchWrites bumps the coalesced-write counters, node-wide and
 // per-link.
-func (p *peer) countBatchWrite() {
-	p.n.batchWrites.Add(1)
-	p.batchWrites.Add(1)
+func (p *peer) countBatchWrites(n uint64) {
+	p.n.batchWrites.Add(n)
+	p.batchWrites.Add(n)
 }
 
 // countBatchFrame bumps the coalesced-frame counters, node-wide and
@@ -217,7 +226,8 @@ func (p *peer) failAll(reason string) {
 	p.failStreamsIn(streams, reason)
 }
 
-// readLoop dispatches inbound frames until the link dies.
+// readLoop dispatches inbound frames until the link dies: every top-level
+// frame and every FrameBatch sub-frame goes through the one dispatch.
 func (p *peer) readLoop() {
 	defer p.n.wg.Done()
 	for {
@@ -228,191 +238,87 @@ func (p *peer) readLoop() {
 		}
 		// Liveness is recorded by the livenessReader under the decoder, so
 		// even a frame still in transit counts.
-		switch t {
-		case wire.FrameCall:
-			c, perr := wire.ParseCall(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.dispatchCall(c)
-		case wire.FrameReply:
-			r, perr := wire.ParseReply(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.dispatchReply(r)
-		case wire.FrameBatch:
-			for len(body) > 0 {
-				st, sb, rest, perr := wire.ReadBatchFrame(body)
-				if perr != nil {
-					p.n.peerDown(p, "protocol: "+perr.Error())
-					return
+		if t == wire.FrameBatch {
+			for len(body) > 0 && err == nil {
+				var sub []byte
+				if t, sub, body, err = wire.ReadBatchFrame(body); err == nil {
+					err = p.dispatch(t, sub)
 				}
-				switch st {
-				case wire.FrameCall:
-					c, perr := wire.ParseCall(sb)
-					if perr != nil {
-						p.n.peerDown(p, "protocol: "+perr.Error())
-						return
-					}
-					p.dispatchCall(c)
-				case wire.FrameReply:
-					r, perr := wire.ParseReply(sb)
-					if perr != nil {
-						p.n.peerDown(p, "protocol: "+perr.Error())
-						return
-					}
-					p.dispatchReply(r)
-				case wire.FrameCancel:
-					c, perr := wire.ParseCancel(sb)
-					if perr != nil {
-						p.n.peerDown(p, "protocol: "+perr.Error())
-						return
-					}
-					p.handleCancel(c)
-				case wire.FrameStreamOpen:
-					o, perr := wire.ParseStreamOpen(sb)
-					if perr != nil {
-						p.n.peerDown(p, "protocol: "+perr.Error())
-						return
-					}
-					p.dispatchStreamOpen(o)
-				case wire.FrameStreamChunk:
-					c, perr := wire.ParseStreamChunk(sb)
-					if perr != nil {
-						p.n.peerDown(p, "protocol: "+perr.Error())
-						return
-					}
-					p.n.deliverStreamChunk(p, c)
-				case wire.FrameStreamCredit:
-					c, perr := wire.ParseStreamCredit(sb)
-					if perr != nil {
-						p.n.peerDown(p, "protocol: "+perr.Error())
-						return
-					}
-					p.grantRelay(c)
-				case wire.FrameStreamEnd:
-					s, perr := wire.ParseStreamEnd(sb)
-					if perr != nil {
-						p.n.peerDown(p, "protocol: "+perr.Error())
-						return
-					}
-					p.n.deliverStreamEnd(p, s)
-				case wire.FrameReplicate:
-					r, perr := wire.ParseReplicate(sb)
-					if perr != nil {
-						p.n.peerDown(p, "protocol: "+perr.Error())
-						return
-					}
-					p.n.handleReplicate(p, r)
-				case wire.FrameReplicateAck:
-					a, perr := wire.ParseReplicateAck(sb)
-					if perr != nil {
-						p.n.peerDown(p, "protocol: "+perr.Error())
-						return
-					}
-					p.n.handleReplicateAck(p, a)
-				default:
-					p.n.opts.Logf("cluster %s: unknown batched frame %v from %s", p.n.id, st, p.id)
-				}
-				body = rest
 			}
-		case wire.FrameCancel:
-			c, perr := wire.ParseCancel(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.handleCancel(c)
-		case wire.FrameStreamOpen:
-			o, perr := wire.ParseStreamOpen(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.dispatchStreamOpen(o)
-		case wire.FrameStreamChunk:
-			c, perr := wire.ParseStreamChunk(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.n.deliverStreamChunk(p, c)
-		case wire.FrameStreamCredit:
-			c, perr := wire.ParseStreamCredit(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.grantRelay(c)
-		case wire.FrameStreamEnd:
-			s, perr := wire.ParseStreamEnd(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.n.deliverStreamEnd(p, s)
-		case wire.FrameMigrate:
-			m, perr := wire.ParseMigrate(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			// Adoption quiesces nothing locally but does take the
-			// reconfiguration lock; run it off the read loop so heartbeats
-			// and replies keep flowing meanwhile.
+		} else {
+			err = p.dispatch(t, body)
+		}
+		if err != nil {
+			p.n.peerDown(p, "protocol: "+err.Error())
+			return
+		}
+	}
+}
+
+// dispatch parses one frame body and hands it to its handler. A parse error
+// is a protocol error that takes the link down; a frame type the link does
+// not carry here (a nested batch, a handshake) is logged and skipped.
+func (p *peer) dispatch(t wire.FrameType, body []byte) error {
+	switch t {
+	case wire.FrameCall:
+		return handle(body, wire.ParseCall, p.dispatchCall)
+	case wire.FrameReply:
+		return handle(body, wire.ParseReply, p.dispatchReply)
+	case wire.FrameCancel:
+		return handle(body, wire.ParseCancel, p.handleCancel)
+	case wire.FrameStreamOpen:
+		return handle(body, wire.ParseStreamOpen, p.dispatchStreamOpen)
+	case wire.FrameStreamChunk:
+		return handle(body, wire.ParseStreamChunk, func(c wire.StreamChunk) { p.n.deliverStreamChunk(p, c) })
+	case wire.FrameStreamCredit:
+		return handle(body, wire.ParseStreamCredit, p.grantRelay)
+	case wire.FrameStreamEnd:
+		return handle(body, wire.ParseStreamEnd, func(s wire.StreamEnd) { p.n.deliverStreamEnd(p, s) })
+	case wire.FrameMigrate:
+		// Adoption quiesces nothing locally but does take the
+		// reconfiguration lock; run it off the read loop so heartbeats and
+		// replies keep flowing meanwhile.
+		return handle(body, wire.ParseMigrate, func(m wire.Migrate) {
 			p.n.wg.Add(1)
 			go func() {
 				defer p.n.wg.Done()
 				p.handleMigrate(m)
 			}()
-		case wire.FrameMigrateAck:
-			a, perr := wire.ParseMigrateAck(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.pmu.Lock()
-			ch := p.migs[a.Corr]
-			p.pmu.Unlock()
-			if ch != nil {
-				select {
-				case ch <- a.Err:
-				default:
-				}
-			}
-		case wire.FrameAnnounce:
-			a, perr := wire.ParseAnnounce(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.n.handleAnnounce(p, a)
-		case wire.FrameGossip:
-			g, perr := wire.ParseGossip(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.n.handleGossip(p, g)
-		case wire.FrameReplicate:
-			r, perr := wire.ParseReplicate(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.n.handleReplicate(p, r)
-		case wire.FrameReplicateAck:
-			a, perr := wire.ParseReplicateAck(body)
-			if perr != nil {
-				p.n.peerDown(p, "protocol: "+perr.Error())
-				return
-			}
-			p.n.handleReplicateAck(p, a)
+		})
+	case wire.FrameMigrateAck:
+		return handle(body, wire.ParseMigrateAck, p.handleMigrateAck)
+	case wire.FrameAnnounce:
+		return handle(body, wire.ParseAnnounce, func(a wire.Announce) { p.n.handleAnnounce(p, a) })
+	case wire.FrameGossip:
+		return handle(body, wire.ParseGossip, func(g wire.Gossip) { p.n.handleGossip(p, g) })
+	case wire.FrameReplicate:
+		return handle(body, wire.ParseReplicate, func(r wire.Replicate) { p.n.handleReplicate(p, r) })
+	case wire.FrameReplicateAck:
+		return handle(body, wire.ParseReplicateAck, func(a wire.ReplicateAck) { p.n.handleReplicateAck(p, a) })
+	default:
+		p.n.opts.Logf("cluster %s: unknown frame %v from %s", p.n.id, t, p.id)
+		return nil
+	}
+}
+
+// handle parses body and passes the frame to h.
+func handle[F any](body []byte, parse func([]byte) (F, error), h func(F)) error {
+	f, err := parse(body)
+	if err == nil {
+		h(f)
+	}
+	return err
+}
+
+// handleMigrateAck wakes the migration waiting on the ack's correlation.
+func (p *peer) handleMigrateAck(a wire.MigrateAck) {
+	p.pmu.Lock()
+	ch := p.migs[a.Corr]
+	p.pmu.Unlock()
+	if ch != nil {
+		select {
+		case ch <- a.Err:
 		default:
-			p.n.opts.Logf("cluster %s: unknown frame %v from %s", p.n.id, t, p.id)
 		}
 	}
 }
@@ -506,7 +412,9 @@ func (p *peer) handleMigrate(m wire.Migrate) {
 	if err != nil {
 		ack.Err = err.Error()
 	}
-	if serr := p.send(func(e *wire.Encoder) error { return e.EncodeMigrateAck(ack) }); serr != nil {
+	if serr := p.send(wire.FrameMigrateAck, func(dst []byte) ([]byte, error) {
+		return wire.AppendMigrateAck(dst, ack), nil
+	}); serr != nil {
 		p.n.opts.Logf("cluster %s: migrate ack to %s: %v", p.n.id, p.id, serr)
 		if err == nil {
 			// The origin never sees the ack, so it rolls back and keeps
@@ -551,7 +459,9 @@ func (p *peer) heartbeatLoop() {
 				return
 			}
 			g := p.n.membership.localView()
-			if err := p.send(func(e *wire.Encoder) error { return e.EncodeGossip(g) }); err != nil {
+			if err := p.send(wire.FrameGossip, func(dst []byte) ([]byte, error) {
+				return wire.AppendGossip(dst, g), nil
+			}); err != nil {
 				p.n.peerDown(p, "heartbeat send: "+err.Error())
 				return
 			}

@@ -77,7 +77,7 @@ type runtimeComponent struct {
 	mu     sync.Mutex // serializes route writers (control plane)
 	routes atomic.Pointer[map[string]bus.Address]
 
-	waiters replyWaiters
+	waiters corrTable[chan connector.ReplyPayload]
 	corr    atomic.Uint64
 	// serving counts requests between mailbox pop and serve completion; a
 	// cross-node handoff drains the mailbox and this counter together so no

@@ -296,63 +296,6 @@ func (s *System) ActiveStreams() int {
 	return n
 }
 
-// streamWaiters is the correlation-sharded stream table, the streaming
-// sibling of replyWaiters: the reply pump looks a chunk's stream up without
-// taking it and takes it only on the terminal end.
-type streamWaiters struct {
-	shards [waiterShards]streamShard
-}
-
-type streamShard struct {
-	mu sync.Mutex
-	m  map[uint64]*Stream
-	_  [6]uint64 // pad to a cache line; shards must not false-share
-}
-
-func (w *streamWaiters) shard(corr uint64) *streamShard {
-	return &w.shards[corr&(waiterShards-1)]
-}
-
-func (w *streamWaiters) add(corr uint64, st *Stream) {
-	s := w.shard(corr)
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[uint64]*Stream)
-	}
-	s.m[corr] = st
-	s.mu.Unlock()
-}
-
-func (w *streamWaiters) lookup(corr uint64) (*Stream, bool) {
-	s := w.shard(corr)
-	s.mu.Lock()
-	st, ok := s.m[corr]
-	s.mu.Unlock()
-	return st, ok
-}
-
-func (w *streamWaiters) take(corr uint64) (*Stream, bool) {
-	s := w.shard(corr)
-	s.mu.Lock()
-	st, ok := s.m[corr]
-	if ok {
-		delete(s.m, corr)
-	}
-	s.mu.Unlock()
-	return st, ok
-}
-
-func (w *streamWaiters) outstanding() int {
-	n := 0
-	for i := range w.shards {
-		s := &w.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // TypedStream is the typed consumer handle of a server stream: each pushed
 // item is decoded through the same derived codec machinery ClientOf uses,
 // so a wire-native scalar item decodes with zero additional allocation.

@@ -138,10 +138,10 @@ type System struct {
 	clientMu      sync.Mutex // control plane: client endpoint lifecycle
 	clientEPs     atomic.Pointer[[]*bus.Endpoint]
 	clientCorr    atomic.Uint64
-	clientWaiters replyWaiters
+	clientWaiters corrTable[chan connector.ReplyPayload]
 	// clientStreams is the correlation-sharded table of open server
 	// streams; the reply pump routes chunk and end payloads through it.
-	clientStreams streamWaiters
+	clientStreams corrTable[*Stream]
 	// streamShed counts chunks that arrived for a stream the consumer had
 	// already closed (or whose ring a misbehaving producer overran) — the
 	// shed side of the conservation ledger sent == received + shed.

@@ -1,66 +1,71 @@
 package core
 
-import (
-	"sync"
+import "sync"
 
-	"repro/internal/connector"
-)
-
-// replyWaiters correlates outstanding requests with their reply channels.
-// Correlation ids are drawn from an atomic counter, so consecutive calls
-// land on consecutive shards and concurrent callers almost never share a
-// lock — the call path pays one short sharded critical section instead of a
-// process-wide mutex.
-const waiterShards = 16 // power of two
-
-type replyWaiters struct {
-	shards [waiterShards]waiterShard
+// corrTable correlates outstanding requests with their waiters: reply
+// channels for calls, open streams for server streams. Correlation ids are
+// drawn from an atomic counter, so consecutive calls land on consecutive
+// shards and concurrent callers almost never share a lock — the call path
+// pays one short sharded critical section instead of a process-wide mutex.
+type corrTable[V any] struct {
+	shards [corrShards]corrShard[V]
 }
 
-type waiterShard struct {
+const corrShards = 16 // power of two
+
+type corrShard[V any] struct {
 	mu sync.Mutex
-	m  map[uint64]chan connector.ReplyPayload
+	m  map[uint64]V
 	_  [6]uint64 // pad to 64 bytes: neighbouring shards' locks must not share a cache line
 }
 
-func (w *replyWaiters) shard(corr uint64) *waiterShard {
-	return &w.shards[corr&(waiterShards-1)]
+func (t *corrTable[V]) shard(corr uint64) *corrShard[V] {
+	return &t.shards[corr&(corrShards-1)]
 }
 
-// add registers the reply channel for corr.
-func (w *replyWaiters) add(corr uint64, ch chan connector.ReplyPayload) {
-	s := w.shard(corr)
+// add registers the waiter for corr.
+func (t *corrTable[V]) add(corr uint64, v V) {
+	s := t.shard(corr)
 	s.mu.Lock()
 	if s.m == nil {
-		s.m = map[uint64]chan connector.ReplyPayload{}
+		s.m = map[uint64]V{}
 	}
-	s.m[corr] = ch
+	s.m[corr] = v
 	s.mu.Unlock()
 }
 
-// outstanding counts registered waiters across all shards — the number of
-// in-flight calls still awaiting replies. Diagnostic only (PendingCalls and
-// the cancellation-storm leak regression); the shards are locked one at a
-// time, so the count is a consistent-per-shard snapshot, exact when idle.
-func (w *replyWaiters) outstanding() int {
+// lookup returns the waiter for corr without removing it.
+func (t *corrTable[V]) lookup(corr uint64) (V, bool) {
+	s := t.shard(corr)
+	s.mu.Lock()
+	v, ok := s.m[corr]
+	s.mu.Unlock()
+	return v, ok
+}
+
+// take removes and returns the waiter for corr, if present.
+func (t *corrTable[V]) take(corr uint64) (V, bool) {
+	s := t.shard(corr)
+	s.mu.Lock()
+	v, ok := s.m[corr]
+	if ok {
+		delete(s.m, corr)
+	}
+	s.mu.Unlock()
+	return v, ok
+}
+
+// outstanding counts registered waiters across all shards — in-flight calls
+// or open streams. Diagnostic only (PendingCalls, PendingStreams and the
+// cancellation-storm leak regressions); the shards are locked one at a time,
+// so the count is a consistent-per-shard snapshot, exact when idle.
+func (t *corrTable[V]) outstanding() int {
 	n := 0
-	for i := range w.shards {
-		s := &w.shards[i]
+	for i := range t.shards {
+		s := &t.shards[i]
 		s.mu.Lock()
 		n += len(s.m)
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// take removes and returns the reply channel for corr, if present.
-func (w *replyWaiters) take(corr uint64) (chan connector.ReplyPayload, bool) {
-	s := w.shard(corr)
-	s.mu.Lock()
-	ch, ok := s.m[corr]
-	if ok {
-		delete(s.m, corr)
-	}
-	s.mu.Unlock()
-	return ch, ok
 }

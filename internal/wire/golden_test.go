@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"testing"
 	"time"
 )
@@ -53,59 +54,52 @@ func TestGoldenFrames(t *testing.T) {
 		Window: 32, Args: []any{"prefix", 10}, Trace: 99, Span: 0x100000002}
 	encoders := map[string]func(e *Encoder) error{
 		"hello": func(e *Encoder) error {
-			return e.EncodeHello(FrameHello, Hello{Node: "n1", System: "Shop", Components: []string{"Front", "Store"},
+			return send(e, FrameHello, Hello{Node: "n1", System: "Shop", Components: []string{"Front", "Store"},
 				MaxVersion: Version, Addr: "127.0.0.1:7001"})
 		},
 		"welcome": func(e *Encoder) error {
-			return e.EncodeHello(FrameWelcome, Hello{Node: "n2", System: "Shop", Components: []string{"Cart"},
+			return send(e, FrameWelcome, Hello{Node: "n2", System: "Shop", Components: []string{"Cart"},
 				MaxVersion: Version, Addr: "127.0.0.1:7002"})
 		},
-		"call":     func(e *Encoder) error { return e.EncodeCall(call) },
-		"call-raw": func(e *Encoder) error { return e.EncodeCall(rawCall) },
-		"reply":    func(e *Encoder) error { return e.EncodeReply(reply) },
+		"call":     func(e *Encoder) error { return send(e, FrameCall, call) },
+		"call-raw": func(e *Encoder) error { return send(e, FrameCall, rawCall) },
+		"reply":    func(e *Encoder) error { return send(e, FrameReply, reply) },
 		"batch": func(e *Encoder) error {
-			e.BeginBatch()
-			for _, add := range []func() error{
-				func() error { return e.BatchAddCall(rawCall) },
-				func() error { return e.BatchAddReply(reply) },
-				func() error { return e.BatchAddCancel(cancel) },
-				func() error { return e.BatchAddStreamOpen(open) },
-			} {
-				if err := add(); err != nil {
-					return err
-				}
+			if err := errors.Join(add(e, FrameCall, rawCall), add(e, FrameReply, reply),
+				add(e, FrameCancel, cancel), add(e, FrameStreamOpen, open)); err != nil {
+				return err
 			}
-			return e.FlushBatch()
+			return e.Flush()
 		},
-		"cancel":      func(e *Encoder) error { return e.EncodeCancel(cancel) },
-		"stream-open": func(e *Encoder) error { return e.EncodeStreamOpen(open) },
+		"cancel":      func(e *Encoder) error { return send(e, FrameCancel, cancel) },
+		"stream-open": func(e *Encoder) error { return send(e, FrameStreamOpen, open) },
 		"stream-chunk": func(e *Encoder) error {
-			return e.EncodeStreamChunk(StreamChunk{Corr: 41, Seq: 3, Item: "item-3"})
+			return send(e, FrameStreamChunk, StreamChunk{Corr: 41, Seq: 3, Item: "item-3"})
 		},
-		"stream-credit": func(e *Encoder) error { return e.EncodeStreamCredit(StreamCredit{Corr: 41, Credit: 8}) },
+		"stream-credit": func(e *Encoder) error { return send(e, FrameStreamCredit, StreamCredit{Corr: 41, Credit: 8}) },
 		"stream-end": func(e *Encoder) error {
-			return e.EncodeStreamEnd(StreamEnd{Corr: 41, Err: "boom", Kind: KindAppError})
+			return send(e, FrameStreamEnd, StreamEnd{Corr: 41, Err: "boom", Kind: KindAppError})
 		},
 		"gossip": func(e *Encoder) error {
-			return e.EncodeGossip(Gossip{Members: []GossipMember{
+			return send(e, FrameGossip, Gossip{Members: []GossipMember{
 				{Node: "n1", Addr: "127.0.0.1:7001", Incarnation: 3, Version: 91, Status: GossipAlive, Load: 0.75,
 					Comps: []GossipComp{{Name: "Store", Load: 1.25e6, Follower: "n2"}, {Name: "Front"}}},
 				{Node: "n3", Status: GossipDead},
 			}})
 		},
 		"replicate": func(e *Encoder) error {
-			return e.EncodeReplicate(Replicate{Corr: 11, Component: "Store", Seq: 42, State: []byte("snapshot-bytes")})
+			return send(e, FrameReplicate, Replicate{Corr: 11, Component: "Store", Seq: 42, State: []byte("snapshot-bytes")})
 		},
 		"replicate-ack": func(e *Encoder) error {
-			return e.EncodeReplicateAck(ReplicateAck{Corr: 11, Component: "Store", Seq: 42, Err: "busy"})
+			return send(e, FrameReplicateAck, ReplicateAck{Corr: 11, Component: "Store", Seq: 42, Err: "busy"})
 		},
 		"migrate": func(e *Encoder) error {
 			// One property only: map order would make a longer list's bytes vary.
-			return e.EncodeMigrate(Migrate{Corr: 3, Component: "Store", Implements: "KV",
+			return send(e, FrameMigrate, Migrate{Corr: 3, Component: "Store", Implements: "KV",
 				Properties: map[string]string{"statefulness": "stateful"}, CPU: 2, HasState: true, State: []byte("state")})
 		},
-		"migrate-ack": func(e *Encoder) error { return e.EncodeMigrateAck(MigrateAck{Corr: 3, Err: "nope"}) },
-		"announce":    func(e *Encoder) error { return e.EncodeAnnounce(Announce{Add: true, Component: "Store"}) },
+		"migrate-ack": func(e *Encoder) error { return send(e, FrameMigrateAck, MigrateAck{Corr: 3, Err: "nope"}) },
+		"announce":    func(e *Encoder) error { return send(e, FrameAnnounce, Announce{Add: true, Component: "Store"}) },
 	}
 	if len(encoders) != len(goldenFrames) {
 		t.Fatalf("%d encoders for %d golden frames", len(encoders), len(goldenFrames))

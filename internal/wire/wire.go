@@ -76,10 +76,10 @@ const (
 	FrameMigrateAck
 	// FrameAnnounce updates component ownership after a migration.
 	FrameAnnounce
-	// FrameBatch packs several call/reply sub-frames into one write so a
-	// busy link pays one syscall per batch instead of one per frame. Body:
-	// repeated sub-frames, each `type byte + u32 length + body` with bodies
-	// in the same format as their standalone frames.
+	// FrameBatch packs two or more frames into one write so a busy link
+	// pays one syscall per batch instead of one per frame (a lone frame goes
+	// out plain). Body: repeated sub-frames, each `type byte + u32 length +
+	// body` with bodies in the same format as their standalone frames.
 	FrameBatch
 	// FrameCancel revokes an in-flight FrameCall by correlation id.
 	// Best-effort: the callee drops the pending work (or interrupts it if
@@ -1179,274 +1179,114 @@ func ParseReplicateAck(b []byte) (ReplicateAck, error) {
 // ---------------------------------------------------------------------------
 // Framed stream I/O.
 
+// subHeaderSize is a FrameBatch sub-frame's header: type byte + u32 length.
+// Sub-frame layout inside a batch body:
+//
+//	offset  size  field
+//	0       1     sub-frame type
+//	1       4     sub-frame body length (big-endian u32)
+//	5       n     sub-frame body (same encoding as the standalone frame)
+const subHeaderSize = 5
+
 // Encoder writes frames to a stream. It is not safe for concurrent use; the
-// peer link serializes writers with its own mutex. The scratch buffer is
-// reused across frames, so steady-state encoding allocates only when a body
-// outgrows every previous one.
+// peer link serializes writers with its own mutex. Frames are added to one
+// pending buffer — a batch header followed by sub-frames — and Flush writes
+// them in one write: a lone frame as a plain frame, two or more as one
+// FrameBatch. The buffer is reused across writes, so steady-state encoding
+// allocates only when a write outgrows every previous one.
 type Encoder struct {
-	w       *bufio.Writer
-	scratch []byte
-	// batch is assembled independently of scratch so batched sub-frames and
-	// interleaved standalone frames (gossip, migrations) never fight over
-	// one buffer.
-	batch      []byte
-	batchCount int
+	w       io.Writer
+	buf     []byte // headerSize bytes of batch header, then the pending sub-frames
+	pending int    // sub-frames in buf
+	writes  int
 }
 
 // NewEncoder wraps w.
 func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{w: bufio.NewWriter(w)}
+	return &Encoder{w: w, buf: make([]byte, headerSize, 4096)}
 }
 
-// Body returns the reusable body buffer, reset to the frame header's length
-// so the frame can be assembled in one allocation-free pass.
-func (e *Encoder) body() []byte {
-	if e.scratch == nil {
-		e.scratch = make([]byte, headerSize, 256)
+// Add appends one frame of type t to the pending write; body appends the
+// frame body to dst. A body error, or a body over MaxFrame (ErrFrameTooBig),
+// drops just this frame and leaves the pending ones intact. A frame that
+// fits alone but would take the batch body past MaxFrame is written only
+// after the frames pending before it are flushed, so Add may return a
+// write error too.
+func (e *Encoder) Add(t FrameType, body func(dst []byte) ([]byte, error)) error {
+	start := len(e.buf)
+	buf, err := body(append(e.buf, byte(t), 0, 0, 0, 0))
+	size := len(buf) - start - subHeaderSize
+	if err == nil && size > MaxFrame {
+		err = ErrFrameTooBig
 	}
-	return e.scratch[:headerSize]
-}
-
-// flushFrame stamps the header onto buf (whose first headerSize bytes are
-// reserved) and writes the whole frame.
-func (e *Encoder) flushFrame(t FrameType, buf []byte) error {
-	body := len(buf) - headerSize
-	if body > MaxFrame {
-		return ErrFrameTooBig
-	}
-	buf[0] = magic0
-	buf[1] = magic1
-	buf[2] = Version
-	buf[3] = byte(t)
-	binary.BigEndian.PutUint32(buf[4:8], uint32(body))
-	if cap(buf) <= retainLimit {
-		e.scratch = buf // keep the grown buffer for reuse
-	} else {
-		e.scratch = nil // oversized one-off (migration state): let it go
-	}
-	if _, err := e.w.Write(buf); err != nil {
-		return err
-	}
-	return e.w.Flush()
-}
-
-// EncodeHello writes a FrameHello or FrameWelcome.
-func (e *Encoder) EncodeHello(t FrameType, h Hello) error {
-	return e.flushFrame(t, AppendHello(e.body(), h))
-}
-
-// EncodeCall writes a FrameCall.
-func (e *Encoder) EncodeCall(c Call) error {
-	buf, err := AppendCall(e.body(), c)
 	if err != nil {
+		e.buf = e.buf[:start]
 		return err
 	}
-	return e.flushFrame(FrameCall, buf)
-}
-
-// EncodeReply writes a FrameReply.
-func (e *Encoder) EncodeReply(r Reply) error {
-	buf, err := AppendReply(e.body(), r)
-	if err != nil {
-		return err
+	binary.BigEndian.PutUint32(buf[start+1:start+subHeaderSize], uint32(size))
+	if e.pending > 0 && len(buf)-headerSize > MaxFrame {
+		if err := e.write(buf[:start]); err != nil {
+			return err
+		}
+		buf = buf[:headerSize+copy(buf[headerSize:], buf[start:])]
 	}
-	return e.flushFrame(FrameReply, buf)
-}
-
-// EncodeCancel writes a FrameCancel.
-func (e *Encoder) EncodeCancel(c Cancel) error {
-	return e.flushFrame(FrameCancel, AppendCancel(e.body(), c))
-}
-
-// EncodeStreamOpen writes a FrameStreamOpen.
-func (e *Encoder) EncodeStreamOpen(o StreamOpen) error {
-	buf, err := AppendStreamOpen(e.body(), o)
-	if err != nil {
-		return err
-	}
-	return e.flushFrame(FrameStreamOpen, buf)
-}
-
-// EncodeStreamChunk writes a FrameStreamChunk.
-func (e *Encoder) EncodeStreamChunk(c StreamChunk) error {
-	buf, err := AppendStreamChunk(e.body(), c)
-	if err != nil {
-		return err
-	}
-	return e.flushFrame(FrameStreamChunk, buf)
-}
-
-// EncodeStreamCredit writes a FrameStreamCredit.
-func (e *Encoder) EncodeStreamCredit(c StreamCredit) error {
-	return e.flushFrame(FrameStreamCredit, AppendStreamCredit(e.body(), c))
-}
-
-// EncodeStreamEnd writes a FrameStreamEnd.
-func (e *Encoder) EncodeStreamEnd(s StreamEnd) error {
-	return e.flushFrame(FrameStreamEnd, AppendStreamEnd(e.body(), s))
-}
-
-// EncodeMigrate writes a FrameMigrate.
-func (e *Encoder) EncodeMigrate(m Migrate) error {
-	return e.flushFrame(FrameMigrate, AppendMigrate(e.body(), m))
-}
-
-// EncodeMigrateAck writes a FrameMigrateAck.
-func (e *Encoder) EncodeMigrateAck(a MigrateAck) error {
-	return e.flushFrame(FrameMigrateAck, AppendMigrateAck(e.body(), a))
-}
-
-// EncodeAnnounce writes a FrameAnnounce.
-func (e *Encoder) EncodeAnnounce(a Announce) error {
-	return e.flushFrame(FrameAnnounce, AppendAnnounce(e.body(), a))
-}
-
-// EncodeGossip writes a FrameGossip.
-func (e *Encoder) EncodeGossip(g Gossip) error {
-	return e.flushFrame(FrameGossip, AppendGossip(e.body(), g))
-}
-
-// EncodeReplicate writes a FrameReplicate.
-func (e *Encoder) EncodeReplicate(r Replicate) error {
-	return e.flushFrame(FrameReplicate, AppendReplicate(e.body(), r))
-}
-
-// EncodeReplicateAck writes a FrameReplicateAck.
-func (e *Encoder) EncodeReplicateAck(a ReplicateAck) error {
-	return e.flushFrame(FrameReplicateAck, AppendReplicateAck(e.body(), a))
-}
-
-// ---------------------------------------------------------------------------
-// Batch assembly. A batch is built incrementally — BeginBatch, then any
-// mix of BatchAddCall/BatchAddReply, then FlushBatch — and goes out as one
-// FrameBatch write. Sub-frame layout inside the body:
-//
-//	offset  size  field
-//	0       1     sub-frame type (call, reply, cancel, or a stream frame)
-//	1       4     sub-frame body length (big-endian u32)
-//	5       n     sub-frame body (same encoding as the standalone frame)
-
-// BeginBatch resets the batch buffer for a new batch.
-func (e *Encoder) BeginBatch() {
-	if e.batch == nil {
-		e.batch = make([]byte, headerSize, 4096)
-	}
-	e.batch = e.batch[:headerSize]
-	e.batchCount = 0
-}
-
-// batchAdd appends one sub-frame, patching its length in place.
-func (e *Encoder) batchAdd(t FrameType, encode func([]byte) ([]byte, error)) error {
-	start := len(e.batch)
-	e.batch = append(e.batch, byte(t), 0, 0, 0, 0)
-	buf, err := encode(e.batch)
-	if err != nil {
-		e.batch = e.batch[:start] // drop the partial sub-frame
-		return err
-	}
-	e.batch = buf
-	binary.BigEndian.PutUint32(e.batch[start+1:start+5], uint32(len(e.batch)-start-5))
-	e.batchCount++
+	e.buf = buf
+	e.pending++
 	return nil
 }
 
-// BatchAddCall appends a call sub-frame to the open batch.
-func (e *Encoder) BatchAddCall(c Call) error {
-	return e.batchAdd(FrameCall, func(dst []byte) ([]byte, error) { return AppendCall(dst, c) })
-}
-
-// BatchAddReply appends a reply sub-frame to the open batch.
-func (e *Encoder) BatchAddReply(r Reply) error {
-	return e.batchAdd(FrameReply, func(dst []byte) ([]byte, error) { return AppendReply(dst, r) })
-}
-
-// BatchAddCancel appends a cancel sub-frame to the open batch.
-func (e *Encoder) BatchAddCancel(c Cancel) error {
-	return e.batchAdd(FrameCancel, func(dst []byte) ([]byte, error) { return AppendCancel(dst, c), nil })
-}
-
-// BatchAddStreamOpen appends a stream-open sub-frame to the pending batch.
-func (e *Encoder) BatchAddStreamOpen(o StreamOpen) error {
-	return e.batchAdd(FrameStreamOpen, func(dst []byte) ([]byte, error) { return AppendStreamOpen(dst, o) })
-}
-
-// BatchAddStreamChunk appends a stream-chunk sub-frame to the pending batch
-// — the coalescing path a busy stream rides.
-func (e *Encoder) BatchAddStreamChunk(c StreamChunk) error {
-	return e.batchAdd(FrameStreamChunk, func(dst []byte) ([]byte, error) { return AppendStreamChunk(dst, c) })
-}
-
-// BatchAddStreamCredit appends a stream-credit sub-frame to the pending
-// batch.
-func (e *Encoder) BatchAddStreamCredit(c StreamCredit) error {
-	return e.batchAdd(FrameStreamCredit, func(dst []byte) ([]byte, error) { return AppendStreamCredit(dst, c), nil })
-}
-
-// BatchAddStreamEnd appends a stream-end sub-frame to the pending batch.
-func (e *Encoder) BatchAddStreamEnd(s StreamEnd) error {
-	return e.batchAdd(FrameStreamEnd, func(dst []byte) ([]byte, error) { return AppendStreamEnd(dst, s), nil })
-}
-
-// BatchAddReplicate appends a standby-snapshot sub-frame to the pending
-// batch — replication shares the coalesced egress write
-// with calls and replies instead of paying its own syscall.
-func (e *Encoder) BatchAddReplicate(r Replicate) error {
-	return e.batchAdd(FrameReplicate, func(dst []byte) ([]byte, error) { return AppendReplicate(dst, r), nil })
-}
-
-// BatchAddReplicateAck appends a replicate-ack sub-frame to the pending
-// batch.
-func (e *Encoder) BatchAddReplicateAck(a ReplicateAck) error {
-	return e.batchAdd(FrameReplicateAck, func(dst []byte) ([]byte, error) { return AppendReplicateAck(dst, a), nil })
-}
-
-// BatchLen reports the assembled batch size in bytes (header included).
-func (e *Encoder) BatchLen() int { return len(e.batch) }
-
-// BatchCount reports the number of sub-frames in the open batch.
-func (e *Encoder) BatchCount() int { return e.batchCount }
-
-// FlushBatch writes the assembled batch as one FrameBatch. A batch with no
-// sub-frames is a no-op.
-func (e *Encoder) FlushBatch() error {
-	if e.batchCount == 0 {
+// Flush writes the pending frames; with none pending it is a no-op.
+func (e *Encoder) Flush() error {
+	if e.pending == 0 {
 		return nil
 	}
-	buf := e.batch
-	e.batchCount = 0
-	body := len(buf) - headerSize
-	if body > MaxFrame {
-		e.batch = buf[:headerSize]
-		return ErrFrameTooBig
-	}
-	buf[0] = magic0
-	buf[1] = magic1
-	buf[2] = Version
-	buf[3] = byte(FrameBatch)
-	binary.BigEndian.PutUint32(buf[4:8], uint32(body))
-	if cap(buf) <= retainLimit {
-		e.batch = buf[:headerSize]
+	return e.write(e.buf)
+}
+
+// Pending reports the frames added since the last write and their encoded
+// size in bytes, batch header included.
+func (e *Encoder) Pending() (frames, bytes int) { return e.pending, len(e.buf) }
+
+// Writes reports how many writes the encoder has made.
+func (e *Encoder) Writes() int { return e.writes }
+
+// write stamps the header onto buf, which holds e.pending sub-frames, and
+// writes it, then resets the pending buffer whatever the outcome. A lone
+// sub-frame's type byte and length sit exactly where a plain frame header
+// read from offset 5 keeps them (bytes 5–12 of buf), so it goes out plain
+// with only the magic and version stamped over the batch header — no copy.
+func (e *Encoder) write(buf []byte) error {
+	out := buf
+	if e.pending == 1 {
+		out = buf[subHeaderSize:]
+		out[0], out[1], out[2] = magic0, magic1, Version
 	} else {
-		e.batch = nil
+		buf[0], buf[1], buf[2], buf[3] = magic0, magic1, Version, byte(FrameBatch)
+		binary.BigEndian.PutUint32(buf[4:headerSize], uint32(len(buf)-headerSize))
 	}
-	if _, err := e.w.Write(buf); err != nil {
-		return err
+	_, err := e.w.Write(out)
+	e.writes++
+	e.pending = 0
+	if cap(buf) > retainLimit {
+		buf = make([]byte, headerSize, 4096) // oversized one-off (migration state): let it go
 	}
-	return e.w.Flush()
+	e.buf = buf[:headerSize]
+	return err
 }
 
 // ReadBatchFrame decodes one sub-frame from a FrameBatch body, returning its
 // type, body, and the remaining bytes. The body aliases b.
 func ReadBatchFrame(b []byte) (FrameType, []byte, []byte, error) {
-	if len(b) < 5 {
+	if len(b) < subHeaderSize {
 		return 0, nil, b, ErrTruncated
 	}
 	t := FrameType(b[0])
-	size := binary.BigEndian.Uint32(b[1:5])
-	if uint64(size) > uint64(len(b)-5) {
+	size := binary.BigEndian.Uint32(b[1:subHeaderSize])
+	if uint64(size) > uint64(len(b)-subHeaderSize) {
 		return 0, nil, b, ErrTruncated
 	}
-	return t, b[5 : 5+size], b[5+size:], nil
+	b = b[subHeaderSize:]
+	return t, b[:size], b[size:], nil
 }
 
 // Decoder reads frames from a stream. Not safe for concurrent use; each

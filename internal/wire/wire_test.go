@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -80,22 +82,22 @@ func TestFrameRoundTrip(t *testing.T) {
 	ack := MigrateAck{Corr: 3, Err: "nope"}
 	ann := Announce{Add: true, Component: "Store"}
 
-	if err := enc.EncodeHello(FrameHello, hello); err != nil {
+	if err := send(enc, FrameHello, hello); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.EncodeCall(call); err != nil {
+	if err := send(enc, FrameCall, call); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.EncodeReply(reply); err != nil {
+	if err := send(enc, FrameReply, reply); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.EncodeMigrate(mig); err != nil {
+	if err := send(enc, FrameMigrate, mig); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.EncodeMigrateAck(ack); err != nil {
+	if err := send(enc, FrameMigrateAck, ack); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.EncodeAnnounce(ann); err != nil {
+	if err := send(enc, FrameAnnounce, ann); err != nil {
 		t.Fatal(err)
 	}
 
@@ -215,19 +217,18 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 	reply := Reply{Corr: 3, Err: "boom", Kind: KindAppError, Results: nil}
 
-	enc.BeginBatch()
 	for _, c := range calls {
-		if err := enc.BatchAddCall(c); err != nil {
+		if err := add(enc, FrameCall, c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := enc.BatchAddReply(reply); err != nil {
+	if err := add(enc, FrameReply, reply); err != nil {
 		t.Fatal(err)
 	}
-	if enc.BatchCount() != 3 {
-		t.Fatalf("batch count = %d", enc.BatchCount())
+	if n, _ := enc.Pending(); n != 3 {
+		t.Fatalf("batch count = %d", n)
 	}
-	if err := enc.FlushBatch(); err != nil {
+	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -258,8 +259,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Fatalf("%d trailing bytes after batch", len(rest))
 	}
 	// An empty flush writes nothing.
-	enc.BeginBatch()
-	if err := enc.FlushBatch(); err != nil {
+	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if conn.Len() != 0 {
@@ -271,6 +271,65 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// writeLog records the header and length of every write it is handed, so
+// the MaxFrame tests can inspect near-MaxFrame writes without keeping them.
+type writeLog struct {
+	headers [][headerSize]byte
+	sizes   []int
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	var h [headerSize]byte
+	copy(h[:], p)
+	w.headers = append(w.headers, h)
+	w.sizes = append(w.sizes, len(p))
+	return len(p), nil
+}
+
+// TestEncoderMaxFrame pins the MaxFrame rule for pending frames: a body over
+// MaxFrame is refused on its own and leaves the pending frames intact, and a
+// frame that fits alone but would take the batch past MaxFrame goes out
+// plain after the frames pending before it.
+func TestEncoderMaxFrame(t *testing.T) {
+	var w writeLog
+	enc := NewEncoder(&w)
+	small := Call{Corr: 1, Component: "S", Op: "get", Args: []any{"k"}}
+	if err := add(enc, FrameCall, small); err != nil {
+		t.Fatal(err)
+	}
+	// Corr, component and seq take 4 bytes and the state's length prefix 4
+	// more: a state of MaxFrame-7 bytes is one byte over, state[1:] fits
+	// exactly.
+	state := make([]byte, MaxFrame-7)
+	if err := add(enc, FrameReplicate, Replicate{Corr: 1, Component: "S", Seq: 1, State: state}); !errors.Is(err, ErrFrameTooBig) {
+		t.Fatalf("oversized add: %v, want ErrFrameTooBig", err)
+	}
+	if n, _ := enc.Pending(); n != 1 {
+		t.Fatalf("%d frames pending after the refused add, want 1", n)
+	}
+	if err := add(enc, FrameReplicate, Replicate{Corr: 1, Component: "S", Seq: 1, State: state[1:]}); err != nil {
+		t.Fatalf("MaxFrame-sized add: %v", err)
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.sizes) != 2 {
+		t.Fatalf("%d writes, want 2", len(w.sizes))
+	}
+	var callFrame bytes.Buffer
+	if err := send(NewEncoder(&callFrame), FrameCall, small); err != nil {
+		t.Fatal(err)
+	}
+	if first := w.headers[0]; w.sizes[0] != callFrame.Len() || !bytes.Equal(first[:], callFrame.Bytes()[:headerSize]) {
+		t.Fatalf("first write: header %x, %d bytes; want the plain call frame", first, w.sizes[0])
+	}
+	second := w.headers[1]
+	if FrameType(second[3]) != FrameReplicate || binary.BigEndian.Uint32(second[4:]) != MaxFrame ||
+		w.sizes[1] != headerSize+MaxFrame {
+		t.Fatalf("second write: header %x, %d bytes; want a plain MaxFrame replicate", second, w.sizes[1])
+	}
+}
+
 func TestCancelRoundTrip(t *testing.T) {
 	var conn bytes.Buffer
 	enc := NewEncoder(&conn)
@@ -278,7 +337,7 @@ func TestCancelRoundTrip(t *testing.T) {
 
 	// Standalone frame.
 	want := Cancel{Corr: 7_000_000_001}
-	if err := enc.EncodeCancel(want); err != nil {
+	if err := send(enc, FrameCancel, want); err != nil {
 		t.Fatal(err)
 	}
 	typ, body, err := dec.Next()
@@ -291,14 +350,13 @@ func TestCancelRoundTrip(t *testing.T) {
 	}
 
 	// Batched sub-frame, coalescing with a call.
-	enc.BeginBatch()
-	if err := enc.BatchAddCall(Call{Corr: 1, Component: "C", Op: "op"}); err != nil {
+	if err := add(enc, FrameCall, Call{Corr: 1, Component: "C", Op: "op"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.BatchAddCancel(want); err != nil {
+	if err := add(enc, FrameCancel, want); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.FlushBatch(); err != nil {
+	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	typ, body, err = dec.Next()
@@ -387,13 +445,65 @@ func BenchmarkEncodeCall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		call.Corr = uint64(i)
-		if err := enc.EncodeCall(call); err != nil {
+		err := enc.Add(FrameCall, func(dst []byte) ([]byte, error) { return AppendCall(dst, call) })
+		if err == nil {
+			err = enc.Flush()
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 type noopWriter struct{}
+
+// appendBody adapts one frame value to an Encoder.Add body.
+func appendBody(v any) func([]byte) ([]byte, error) {
+	return func(dst []byte) ([]byte, error) {
+		switch x := v.(type) {
+		case Hello:
+			return AppendHello(dst, x), nil
+		case Call:
+			return AppendCall(dst, x)
+		case Reply:
+			return AppendReply(dst, x)
+		case Cancel:
+			return AppendCancel(dst, x), nil
+		case StreamOpen:
+			return AppendStreamOpen(dst, x)
+		case StreamChunk:
+			return AppendStreamChunk(dst, x)
+		case StreamCredit:
+			return AppendStreamCredit(dst, x), nil
+		case StreamEnd:
+			return AppendStreamEnd(dst, x), nil
+		case Gossip:
+			return AppendGossip(dst, x), nil
+		case Replicate:
+			return AppendReplicate(dst, x), nil
+		case ReplicateAck:
+			return AppendReplicateAck(dst, x), nil
+		case Migrate:
+			return AppendMigrate(dst, x), nil
+		case MigrateAck:
+			return AppendMigrateAck(dst, x), nil
+		case Announce:
+			return AppendAnnounce(dst, x), nil
+		}
+		return dst, fmt.Errorf("no body encoder for %T", v)
+	}
+}
+
+// add adds v to e's pending write as one frame of type t.
+func add(e *Encoder, t FrameType, v any) error { return e.Add(t, appendBody(v)) }
+
+// send writes v on its own as one frame of type t.
+func send(e *Encoder, t FrameType, v any) error {
+	if err := add(e, t, v); err != nil {
+		return err
+	}
+	return e.Flush()
+}
 
 func (noopWriter) Write(p []byte) (int, error) { return len(p), nil }
 
@@ -407,7 +517,7 @@ func TestStreamFramesRoundTrip(t *testing.T) {
 	open := StreamOpen{Corr: 41, Component: "Feed", Op: "list",
 		Principal: "alice", DeadlineNanos: 5_000_000, Window: 32,
 		Args: []any{"prefix", 10}}
-	if err := enc.EncodeStreamOpen(open); err != nil {
+	if err := send(enc, FrameStreamOpen, open); err != nil {
 		t.Fatal(err)
 	}
 	typ, body, err := dec.Next()
@@ -423,7 +533,7 @@ func TestStreamFramesRoundTrip(t *testing.T) {
 	}
 
 	chunk := StreamChunk{Corr: 41, Seq: 3, Item: "item-3"}
-	if err := enc.EncodeStreamChunk(chunk); err != nil {
+	if err := send(enc, FrameStreamChunk, chunk); err != nil {
 		t.Fatal(err)
 	}
 	typ, body, err = dec.Next()
@@ -435,7 +545,7 @@ func TestStreamFramesRoundTrip(t *testing.T) {
 	}
 
 	credit := StreamCredit{Corr: 41, Credit: 8}
-	if err := enc.EncodeStreamCredit(credit); err != nil {
+	if err := send(enc, FrameStreamCredit, credit); err != nil {
 		t.Fatal(err)
 	}
 	typ, body, err = dec.Next()
@@ -447,7 +557,7 @@ func TestStreamFramesRoundTrip(t *testing.T) {
 	}
 
 	end := StreamEnd{Corr: 41, Err: "boom", Kind: KindAppError}
-	if err := enc.EncodeStreamEnd(end); err != nil {
+	if err := send(enc, FrameStreamEnd, end); err != nil {
 		t.Fatal(err)
 	}
 	typ, body, err = dec.Next()
@@ -459,23 +569,22 @@ func TestStreamFramesRoundTrip(t *testing.T) {
 	}
 
 	// All four coalesce as batch sub-frames alongside a reply.
-	enc.BeginBatch()
-	if err := enc.BatchAddStreamOpen(open); err != nil {
+	if err := add(enc, FrameStreamOpen, open); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.BatchAddStreamChunk(chunk); err != nil {
+	if err := add(enc, FrameStreamChunk, chunk); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.BatchAddReply(Reply{Corr: 9, Results: []any{"r"}}); err != nil {
+	if err := add(enc, FrameReply, Reply{Corr: 9, Results: []any{"r"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.BatchAddStreamCredit(credit); err != nil {
+	if err := add(enc, FrameStreamCredit, credit); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.BatchAddStreamEnd(end); err != nil {
+	if err := add(enc, FrameStreamEnd, end); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.FlushBatch(); err != nil {
+	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	typ, body, err = dec.Next()
@@ -531,7 +640,7 @@ func TestGossipRoundTrip(t *testing.T) {
 		{Node: "n2", Addr: "127.0.0.1:7002", Incarnation: 1, Version: 40, Status: GossipSuspect, Load: 0.1},
 		{Node: "n3", Addr: "", Incarnation: 0, Version: 0, Status: GossipDead},
 	}}
-	if err := enc.EncodeGossip(g); err != nil {
+	if err := send(enc, FrameGossip, g); err != nil {
 		t.Fatal(err)
 	}
 	typ, body, err := dec.Next()
@@ -558,20 +667,19 @@ func TestReplicateRoundTrip(t *testing.T) {
 	rep := Replicate{Corr: 11, Component: "Store", Seq: 42, State: []byte("snapshot-bytes")}
 	ack := ReplicateAck{Corr: 11, Component: "Store", Seq: 42, Err: "busy"}
 
-	if err := enc.EncodeReplicate(rep); err != nil {
+	if err := send(enc, FrameReplicate, rep); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.EncodeReplicateAck(ack); err != nil {
+	if err := send(enc, FrameReplicateAck, ack); err != nil {
 		t.Fatal(err)
 	}
-	enc.BeginBatch()
-	if err := enc.BatchAddReplicate(rep); err != nil {
+	if err := add(enc, FrameReplicate, rep); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.BatchAddReplicateAck(ack); err != nil {
+	if err := add(enc, FrameReplicateAck, ack); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.FlushBatch(); err != nil {
+	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
