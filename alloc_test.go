@@ -352,3 +352,58 @@ func TestStreamRecvAllocs(t *testing.T) {
 		t.Fatalf("stream receive allocates %.1f/item, budget 1", allocs)
 	}
 }
+
+const mediatedADL = `
+system Mediated {
+  component Front {
+    provide fetch(key) -> (value)
+    require get(key) -> (value)
+  }
+  component Store {
+    provide get(key) -> (value)
+    provide put(key, value) -> (status)
+  }
+  connector Glue { kind rpc }
+  bind Front.get -> Store.get via Glue
+}
+`
+
+// TestMediatedCallAllocs pins the untyped call that crosses a component
+// outcall: Client → Front.fetch → rpc connector → Store.get, at 12
+// allocations (measured: 12 — per serving hop the aspect-invocation frame
+// and the boxed result; Store's result list and value; Front's outcall
+// payload and Store's reply payload; the connector's forwarded request and
+// its reply settle; the caller's argument list). The outcall's reply
+// channel and fallback timer are leased from a pool, so they cost nothing
+// per call.
+func TestMediatedCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	reg := aas.NewRegistry()
+	reg.MustRegister("Front", "1.0", nil, func() any { return &relay{} })
+	reg.MustRegister("Store", "1.0", nil, func() any { return newBenchKV(64) })
+	sys, err := aas.Load(mediatedADL, aas.Options{Registry: reg.Registry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Stop()
+	front := sys.Client("Front")
+	ctx := context.Background()
+	for i := 0; i < 64; i++ {
+		if _, err := front.Call(ctx, "fetch", "key-00000001"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := minAllocsPerRun(5, 200, func() {
+		if _, err := front.Call(ctx, "fetch", "key-00000001"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 12 {
+		t.Fatalf("mediated call allocates %.1f/op, budget 12", allocs)
+	}
+}

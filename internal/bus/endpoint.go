@@ -25,6 +25,12 @@ import (
 // requests, replies, events, control — keeps the FIFO ring, so the
 // zero-alloc steady-state path is unchanged. Both lanes share the one
 // capacity bound.
+//
+// An owner that answers its replies in place installs a reply hook
+// (SetReplyFunc): a Reply then goes straight to its waiter on the delivering
+// goroutine and never enters either lane. An owner whose receivers serve
+// requests installs serve hooks (SetServeHooks) so its in-service count and
+// its transient receivers are maintained under the same lock as the queue.
 type Endpoint struct {
 	addr Address
 
@@ -49,6 +55,11 @@ type Endpoint struct {
 	arrivals  seqTable // last seen per-source sequence; the dst is fixed
 	reordered uint64
 	duplicate uint64
+
+	// Hooks installed by the owner before traffic flows; all run under mu.
+	onReply   func(Message) // takes Replies in place of the mailbox
+	onBacklog func()        // more queued than receivers parked
+	serving   *atomic.Int64 // counts Requests handed to receivers
 }
 
 const initialRing = 16
@@ -121,18 +132,29 @@ func (e *Endpoint) noteExpiredLocked(m *Message) {
 	}
 }
 
-// dequeueLocked pops the next message to serve under the EDF policy,
-// lazily shedding deadline lane entries that expired before now (unix
-// nanoseconds). Priority: ring head when it is not a Request (replies,
-// events and control never starve behind deadlined work), then the
-// earliest future deadline, then the ring. It reports false when every
-// queued message was shed and nothing remains. Callers hold e.mu.
+// dequeueLocked pops the next message to serve under the EDF policy (see
+// nextLocked). A popped Request is counted in the serving counter, when one
+// is installed, before the depth mirror drops, so a reader of depth then
+// serving never misses it. Callers hold e.mu.
 func (e *Endpoint) dequeueLocked(now int64) (Message, bool) {
+	m, ok := e.nextLocked(now)
+	if ok && m.Kind == Request && e.serving != nil {
+		e.serving.Add(1)
+	}
+	e.syncDepthLocked()
+	return m, ok
+}
+
+// nextLocked pops the next message under the EDF policy, lazily shedding
+// deadline lane entries that expired before now (unix nanoseconds).
+// Priority: ring head when it is not a Request (replies, events and control
+// never starve behind deadlined work), then the earliest future deadline,
+// then the ring. It reports false when every queued message was shed and
+// nothing remains. Callers hold e.mu and refresh the depth mirror.
+func (e *Endpoint) nextLocked(now int64) (Message, bool) {
 	for {
 		if e.count > 0 && e.buf[e.head].Kind != Request {
-			m := e.popLocked()
-			e.syncDepthLocked()
-			return m, true
+			return e.popLocked(), true
 		}
 		if len(e.edfq) > 0 {
 			var m Message
@@ -148,15 +170,11 @@ func (e *Endpoint) dequeueLocked(now int64) (Message, bool) {
 				}
 				continue
 			}
-			e.syncDepthLocked()
 			return m, true
 		}
 		if e.count > 0 {
-			m := e.popLocked()
-			e.syncDepthLocked()
-			return m, true
+			return e.popLocked(), true
 		}
-		e.syncDepthLocked()
 		return Message{}, false
 	}
 }
@@ -171,12 +189,23 @@ func (e *Endpoint) nowIfDeadlined() int64 {
 	return time.Now().UnixNano()
 }
 
-// enqueueLocked appends m and wakes a parked receiver if one is waiting; it
-// reports false when the mailbox is full or closed. Deadline-carrying
-// requests go to the EDF lane, everything else to the FIFO ring; both lanes
-// share the capacity bound. Callers hold e.mu (the route lock).
+// enqueueLocked accepts m and reports false when the mailbox is full or
+// closed. A Reply goes to the reply hook when one is installed and is never
+// queued. Otherwise deadline-carrying requests go to the EDF lane and
+// everything else to the FIFO ring; both lanes share the capacity bound. A
+// parked receiver is woken, and the backlog hook runs when the queue now
+// holds more messages than receivers are parked to take them. Callers hold
+// e.mu (the route lock).
 func (e *Endpoint) enqueueLocked(m *Message) bool {
-	if e.closed || e.pendingLocked() >= e.cap {
+	if e.closed {
+		return false
+	}
+	if m.Kind == Reply && e.onReply != nil {
+		e.noteArrivalLocked(m)
+		e.onReply(*m)
+		return true
+	}
+	if e.pendingLocked() >= e.cap {
 		return false
 	}
 	if m.Kind == Request && m.Deadline != 0 && !e.fifoOnly {
@@ -184,8 +213,24 @@ func (e *Endpoint) enqueueLocked(m *Message) bool {
 	} else {
 		e.pushLocked(m)
 	}
-	e.received++
 	e.syncDepthLocked()
+	e.noteArrivalLocked(m)
+	if e.waiting > 0 {
+		select {
+		case e.notify <- struct{}{}:
+		default:
+		}
+	}
+	if e.onBacklog != nil && e.pendingLocked() > e.waiting {
+		e.onBacklog()
+	}
+	return true
+}
+
+// noteArrivalLocked counts one accepted message and checks its per-source
+// sequence number for duplicates and reorderings; callers hold e.mu.
+func (e *Endpoint) noteArrivalLocked(m *Message) {
+	e.received++
 	cell := e.arrivals.cell(m.Src)
 	switch last := *cell; {
 	case m.Seq == last && m.Seq != 0:
@@ -195,13 +240,6 @@ func (e *Endpoint) enqueueLocked(m *Message) bool {
 	default:
 		*cell = m.Seq
 	}
-	if e.waiting > 0 {
-		select {
-		case e.notify <- struct{}{}:
-		default:
-		}
-	}
-	return true
 }
 
 // Receive blocks until a message arrives, the endpoint closes, or ctx is
@@ -290,7 +328,38 @@ func (e *Endpoint) SetExpiredFunc(f func(Message)) {
 	e.onExpired = f
 }
 
-// Received reports the total number of messages ever enqueued.
+// SetReplyFunc installs the reply hook: every Reply delivered to the
+// endpoint — by Send, by a delayed delivery or by the flush of Resume — is
+// passed to f instead of being queued, and counts as delivered and received
+// like an enqueued message. f runs on the delivering goroutine under the
+// route lock, so it must not block and must not call back into the bus. The
+// message is passed by value so a delivery never moves the sender's copy to
+// the heap. The lock order is route lock → whatever f takes (the
+// owner's waiter-table shard or stream lock); nothing may send on the bus
+// while holding those. Install it before traffic flows.
+func (e *Endpoint) SetReplyFunc(f func(Message)) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.onReply = f
+}
+
+// SetServeHooks wires the endpoint to an owner whose receivers serve its
+// requests. Every Request a receiver dequeues (Receive or TryReceive) is
+// counted in serving under the route lock, before the lock is released; the
+// owner decrements it when service ends, so queued + serving never misses a
+// popped request. backlog runs under the route lock whenever an enqueue
+// leaves more messages queued than receivers parked in Receive: the owner
+// starts a transient receiver there, so no request waits on receivers that
+// are all busy. backlog must not block or call back into the bus. Install
+// before traffic flows.
+func (e *Endpoint) SetServeHooks(serving *atomic.Int64, backlog func()) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.serving, e.onBacklog = serving, backlog
+}
+
+// Received reports the total number of messages ever accepted, queued or
+// passed to the reply hook.
 func (e *Endpoint) Received() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -8,7 +8,7 @@ import (
 )
 
 // cancelSet records calls revoked by a bus.OpCancel control message before
-// (or while) their request sits in the component's mailbox. The serve loop
+// (or while) their request sits in the component's mailbox. The serve path
 // consults it once per request; the dominant no-cancellations case must stay
 // a single atomic load, so the set keeps a lock-free population counter in
 // front of the map.

@@ -51,8 +51,9 @@ type CallerAware interface {
 // ComponentAddress returns the bus address of a named component.
 func ComponentAddress(name string) bus.Address { return bus.Address("comp:" + name) }
 
-// runtimeComponent is one running component: a container, a bus endpoint,
-// a serve loop, and a routing table from required services to connectors.
+// runtimeComponent is one running component: a container, a bus endpoint
+// served by a pool of workers, and a routing table from required services
+// to connectors.
 type runtimeComponent struct {
 	sys   *System
 	name  string
@@ -79,9 +80,11 @@ type runtimeComponent struct {
 
 	waiters corrTable[chan connector.ReplyPayload]
 	corr    atomic.Uint64
-	// serving counts requests between mailbox pop and serve completion; a
-	// cross-node handoff drains the mailbox and this counter together so no
-	// popped-but-unrequeued message can be lost to the endpoint teardown.
+	// serving counts requests between mailbox pop and serve completion. The
+	// endpoint increments it under the route lock as it pops a request, so
+	// depth (queued + serving) never misses one: a cross-node handoff drains
+	// on it, and no popped-but-unrequeued message can be lost to the
+	// endpoint teardown.
 	serving atomic.Int64
 	// adm estimates this component's queueing delay from observed service
 	// times (DESIGN.md §9); the platform edge consults it to shed calls whose
@@ -105,12 +108,16 @@ type runtimeComponent struct {
 	// them out would hold every reconfiguration hostage).
 	smu     sync.Mutex
 	streams map[streamKey]*streamProducer
-	// serveCtx is the serve loop's context, parent of every stream
+	// serveCtx is the serve workers' context, parent of every stream
 	// producer: stopping the component reclaims its streams.
 	serveCtx context.Context
 
-	wg     sync.WaitGroup
-	cancel context.CancelFunc
+	// life orders transient-server starts against stop: wg.Add only runs
+	// while running, and stop clears running before it waits.
+	life    sync.Mutex
+	running bool
+	wg      sync.WaitGroup
+	cancel  context.CancelFunc
 }
 
 var _ ContextCaller = (*runtimeComponent)(nil)
@@ -131,6 +138,11 @@ func newRuntimeComponent(sys *System, decl adl.ComponentDecl, cont *container.Co
 	}
 	empty := map[string]bus.Address{}
 	rc.routes.Store(&empty)
+	// Replies go straight to their outcall waiters, popped requests are
+	// counted in serving under the route lock, and a backlog the parked
+	// workers cannot cover starts a transient server.
+	rc.ep.SetReplyFunc(rc.deliverReply)
+	rc.ep.SetServeHooks(&rc.serving, rc.spawnServer)
 	// Weave the system's aspects around the container invocation. The
 	// binding's advice chain is compiled for this component name and
 	// recompiled (atomically republished) on every aspect interchange, so
@@ -183,80 +195,123 @@ func (rc *runtimeComponent) dropRoute(service string) {
 }
 
 // serveWorkers is the number of persistent serve goroutines per component.
-// Steady-state requests hand off to an idle worker without spawning — the
-// per-request goroutine (and its closure allocation) is reserved for bursts
-// beyond the worker pool and for re-entrant calls that would otherwise wait
-// on themselves.
+// Each dequeues from the mailbox itself, so a steady-state request goes from
+// the sender straight to an idle worker without spawning. A transient
+// server (and its goroutine) is reserved for bursts beyond the pool and for
+// re-entrant calls that would otherwise wait on themselves.
 const serveWorkers = 4
 
-// start launches the serve loop.
+// start launches the serve workers.
 func (rc *runtimeComponent) start(ctx context.Context) {
 	ctx, rc.cancel = context.WithCancel(ctx)
 	rc.serveCtx = ctx
 	rc.cont.Activate()
-	work := make(chan bus.Message) // unbuffered: a send succeeds only into an idle worker
+	rc.life.Lock()
+	rc.running = true
+	rc.wg.Add(serveWorkers)
+	rc.life.Unlock()
+	// Requests queued before start (a component is published before its
+	// workers run) found the backlog hook idle. Count them now, before any
+	// worker pops one, and give each beyond the pool a server, as the hook
+	// would have; requests arriving from here on run the hook themselves.
+	early := rc.ep.Len()
+	// Wait until every worker has run: one still sitting in a run queue
+	// since its go statement is not parked in Receive, so each request
+	// would count as backlog and start a transient server — and a caller
+	// ping-ponging with those transients can keep the workers from ever
+	// being scheduled.
+	var ready sync.WaitGroup
+	ready.Add(serveWorkers)
 	for i := 0; i < serveWorkers; i++ {
-		rc.wg.Add(1)
 		go func() {
 			defer rc.wg.Done()
-			for m := range work {
-				rc.serve(m)
-				rc.serving.Add(-1)
+			ready.Done()
+			for {
+				m, err := rc.ep.Receive(ctx)
+				if err != nil {
+					return
+				}
+				rc.handle(m)
 			}
 		}()
 	}
-	rc.wg.Add(1)
-	go func() {
-		defer rc.wg.Done()
-		defer close(work)
-		for {
-			m, err := rc.ep.Receive(ctx)
-			if err != nil {
-				return
-			}
-			switch m.Kind {
-			case bus.Request:
-				// Serve concurrently so that outcalls from the handler can
-				// be correlated by this same loop. Prefer an idle pool
-				// worker; fall through to a transient goroutine when all
-				// are busy so a component calling itself cannot deadlock
-				// on its own pool.
-				rc.serving.Add(1)
-				select {
-				case work <- m:
-				default:
-					rc.wg.Add(1)
-					go func(m bus.Message) {
-						defer rc.wg.Done()
-						defer rc.serving.Add(-1)
-						rc.serve(m)
-					}(m)
-				}
-			case bus.Reply:
-				if w, ok := rc.waiters.take(m.Corr); ok {
-					payload, _ := m.Payload.(connector.ReplyPayload)
-					w <- payload
-				}
-			case bus.Control:
-				// A cancel overtakes the request it revokes (Control skips
-				// the EDF lane and passes pauseRequests barriers); record it
-				// so the request is answered unserved when it surfaces, and
-				// reclaim the matching stream producer if one is running.
-				switch m.Op {
-				case bus.OpCancel:
-					rc.cancels.add(m.Src, m.Corr, time.Now().UnixNano())
-					rc.cancelStream(m.Src, m.Corr)
-				case bus.OpStreamCredit:
-					rc.grantStream(m.Src, m.Corr, m.Payload)
-				}
-			}
-		}
-	}()
+	ready.Wait()
+	for ; early > serveWorkers; early-- {
+		rc.spawnServer()
+	}
 	rc.sys.events.Emit(Event{Kind: EvComponentStarted, At: rc.sys.clk.Now(), Component: rc.name})
 }
 
-// stop cancels the serve loop and waits for in-flight work.
+// spawnServer is the endpoint's backlog hook: an enqueue left more messages
+// queued than workers parked, so the surplus has no free worker — every
+// other one is inside a handler, possibly blocked on a call back into this
+// very component. This keeps the self-call no-deadlock guarantee: every
+// queued request gets a server at once. The transient server drains the
+// mailbox until it is empty, then exits. Runs under the route lock: it
+// only starts the goroutine.
+func (rc *runtimeComponent) spawnServer() {
+	rc.life.Lock()
+	defer rc.life.Unlock()
+	if !rc.running {
+		return
+	}
+	rc.wg.Add(1)
+	go rc.drain()
+}
+
+// drain is a transient server's life: serve whatever is queued, then exit.
+func (rc *runtimeComponent) drain() {
+	defer rc.wg.Done()
+	for {
+		m, ok := rc.ep.TryReceive()
+		if !ok {
+			return
+		}
+		rc.handle(m)
+	}
+}
+
+// handle serves one dequeued message. Replies never arrive here — the reply
+// hook takes them at delivery.
+func (rc *runtimeComponent) handle(m bus.Message) {
+	switch m.Kind {
+	case bus.Request:
+		// The endpoint counted the request in serving when it was popped.
+		rc.serve(m)
+		rc.serving.Add(-1)
+	case bus.Control:
+		// A cancel overtakes the request it revokes (Control skips the EDF
+		// lane and passes pauseRequests barriers); record it so the request
+		// is answered unserved when it surfaces, and reclaim the matching
+		// stream producer if one is running.
+		switch m.Op {
+		case bus.OpCancel:
+			rc.cancels.add(m.Src, m.Corr, time.Now().UnixNano())
+			rc.cancelStream(m.Src, m.Corr)
+		case bus.OpStreamCredit:
+			rc.grantStream(m.Src, m.Corr, m.Payload)
+		}
+	}
+}
+
+// deliverReply is the endpoint's reply hook: the reply to one of this
+// component's outcalls goes straight to the waiting handler. It runs under
+// the route lock and takes only a waiter-table shard lock beneath it; the
+// send never blocks because a waiter channel holds at most the one signal
+// its registration routes.
+func (rc *runtimeComponent) deliverReply(m bus.Message) {
+	if w, ok := rc.waiters.take(m.Corr); ok {
+		payload, _ := m.Payload.(connector.ReplyPayload)
+		w <- payload
+	}
+}
+
+// stop cancels the serve workers and waits for in-flight work. No transient
+// server starts once stop has begun.
 func (rc *runtimeComponent) stop() {
+	rc.life.Lock()
+	rc.running = false
+	rc.life.Unlock()
 	if rc.cancel != nil {
 		rc.cancel()
 	}
@@ -329,7 +384,8 @@ func (rc *runtimeComponent) serve(m bus.Message) {
 
 	// One clock read closes service: the end timestamp feeds the QoS monitor
 	// (spans auto-feed the monitor — RecordAt reuses it instead of a second
-	// clock read) and, for traced requests, the server span below.
+	// clock read), stamps the served/failed event and, for traced requests,
+	// closes the server span below.
 	ended := rc.sys.clk.Now()
 	endNs := ended.UnixNano()
 	elapsed := ended.Sub(started)
@@ -354,22 +410,22 @@ func (rc *runtimeComponent) serve(m bus.Message) {
 		}
 		if err != nil {
 			tc.Finish(err.Error(), errKindOf(err))
-			rc.sys.events.Emit(Event{Kind: EvRequestFailed, At: rc.sys.clk.Now(),
+			rc.sys.events.Emit(Event{Kind: EvRequestFailed, At: ended,
 				Component: rc.name, Detail: m.Op + ": " + err.Error()})
 		} else {
 			tc.Finish("", connector.ErrKindNone)
-			rc.sys.events.Emit(Event{Kind: EvRequestServed, At: rc.sys.clk.Now(),
+			rc.sys.events.Emit(Event{Kind: EvRequestServed, At: ended,
 				Component: rc.name, Detail: m.Op})
 		}
 		reply.Payload = m.Payload
 	} else if err != nil {
 		reply.Payload = connector.ReplyPayload{Err: err.Error(), Kind: errKindOf(err)}
-		rc.sys.events.Emit(Event{Kind: EvRequestFailed, At: rc.sys.clk.Now(),
+		rc.sys.events.Emit(Event{Kind: EvRequestFailed, At: ended,
 			Component: rc.name, Detail: m.Op + ": " + err.Error()})
 	} else {
 		results, _ := res.([]any)
 		reply.Payload = connector.ReplyPayload{Results: results}
-		rc.sys.events.Emit(Event{Kind: EvRequestServed, At: rc.sys.clk.Now(),
+		rc.sys.events.Emit(Event{Kind: EvRequestServed, At: ended,
 			Component: rc.name, Detail: m.Op})
 	}
 	_ = rc.sys.bus.Send(reply)
@@ -410,7 +466,9 @@ func (rc *runtimeComponent) recordServerSpan(m *bus.Message, startNs, endNs int6
 // pending entry — and carries the structured kind so identity survives
 // relays.
 func (rc *runtimeComponent) rejectUnserved(m *bus.Message, reason string, kind connector.ErrKind) {
-	rc.sys.events.Emit(Event{Kind: EvRequestFailed, At: rc.sys.clk.Now(),
+	// One clock read stamps both the event and the span.
+	now := rc.sys.clk.Now()
+	rc.sys.events.Emit(Event{Kind: EvRequestFailed, At: now,
 		Component: rc.name, Detail: m.Op + ": " + reason})
 	reject := bus.Message{
 		Kind: bus.Reply, Op: m.Op,
@@ -427,13 +485,14 @@ func (rc *runtimeComponent) rejectUnserved(m *bus.Message, reason string, kind c
 	// A rejected request never entered service: its span is all queue wait
 	// (Start == End), which is exactly what the queue/service split should
 	// show for work shed after the caller gave up.
-	now := rc.sys.clk.Now().UnixNano()
-	rc.recordServerSpan(m, now, now, outcomeOfKind(kind))
+	rc.recordServerSpan(m, now.UnixNano(), now.UnixNano(), outcomeOfKind(kind))
 }
 
-// depth is the admission-control view of this component's backlog: queued
-// mailbox messages (both lanes, one atomic load) plus requests currently
-// being served.
+// depth is this component's backlog: queued mailbox messages (both lanes,
+// one atomic load) plus requests currently being served. The endpoint bumps
+// serving before it lowers the depth mirror, both under the route lock, so
+// reading the mirror first never misses a request between the two. It is
+// the admission-control view and what a cross-node handoff drains on.
 func (rc *runtimeComponent) depth() int64 {
 	return rc.ep.Depth() + rc.serving.Load()
 }
@@ -480,8 +539,8 @@ func (rc *runtimeComponent) CallContext(ctx context.Context, service string, arg
 		return nil, fmt.Errorf("core: component %s: required service %q is unbound", rc.name, service)
 	}
 	corr := rc.corr.Add(1)
-	w := make(chan connector.ReplyPayload, 1)
-	rc.waiters.add(corr, w)
+	ow := outcallPool.Get().(*outcallWaiter)
+	rc.waiters.add(corr, ow.w)
 
 	m := bus.Message{
 		Kind: bus.Request, Op: service,
@@ -496,26 +555,52 @@ func (rc *runtimeComponent) CallContext(ctx context.Context, service string, arg
 		rc.waiters.take(corr)
 		return nil, err
 	}
-	// Stoppable timer (component outcalls are the inner hot path of every
-	// fan-out, so a leaked timer per call would pile up under load), armed
-	// only when the context does not already bound the wait.
+	// The fallback timer is armed only when the context does not already
+	// bound the wait, and always stopped: component outcalls are the inner
+	// hot path of every fan-out, so a leaked timer per call would pile up
+	// under load.
 	var timerC <-chan time.Time
 	if !hasDeadline {
-		timer := time.NewTimer(rc.sys.callTimeout)
-		defer timer.Stop()
-		timerC = timer.C
+		if ow.timer == nil {
+			ow.timer = time.NewTimer(rc.sys.callTimeout)
+		} else {
+			ow.timer.Reset(rc.sys.callTimeout)
+		}
+		timerC = ow.timer.C
 	}
 	select {
-	case payload := <-w:
+	case payload := <-ow.w:
+		if timerC != nil {
+			ow.timer.Stop()
+		}
+		outcallPool.Put(ow)
 		if payload.Err != "" {
 			return nil, replyErrorKind(payload.Err, payload.Kind)
 		}
 		return payload.Results, nil
 	case <-ctx.Done():
 		rc.waiters.take(corr)
+		if timerC != nil {
+			ow.timer.Stop()
+		}
 		return nil, fmt.Errorf("core: call %s.%s: %w", rc.name, service, ctx.Err())
 	case <-timerC:
 		rc.waiters.take(corr)
 		return nil, fmt.Errorf("core: call %s.%s timed out", rc.name, service)
 	}
 }
+
+// outcallWaiter is the leased reply channel and fallback timer of one
+// component outcall. It goes back to outcallPool only after its reply was
+// received: a timed-out or cancelled waiter (or one whose send failed) is
+// abandoned to the garbage collector, so a late reply can never land in a
+// channel a later call reuses. The timer is created lazily and reused
+// (go1.23+ timer semantics make Reset and Stop safe without draining).
+type outcallWaiter struct {
+	w     chan connector.ReplyPayload
+	timer *time.Timer
+}
+
+var outcallPool = sync.Pool{New: func() any {
+	return &outcallWaiter{w: make(chan connector.ReplyPayload, 1)}
+}}

@@ -244,10 +244,12 @@ func (s *System) SnapshotComponent(component string) ([]byte, error) {
 // container passive, so every queued request is bounced by the container
 // (ErrNotActive) and re-sent by serve, parking it on the paused route; this
 // wait guarantees the endpoint teardown cannot strand a message inside the
-// mailbox ring.
+// mailbox ring. It reads depth, the same queued + serving sum admission
+// reads: the endpoint counts a request in serving as it pops it, so the sum
+// never misses one in between.
 func (s *System) drainServeQueue(rc *runtimeComponent) error {
 	deadline := time.Now().Add(s.callTimeout)
-	for rc.ep.Len() > 0 || rc.serving.Load() > 0 {
+	for rc.depth() > 0 {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("core: mailbox drain timed out (%d queued, %d serving)",
 				rc.ep.Len(), rc.serving.Load())

@@ -1,6 +1,6 @@
 // Server-streaming calls with credit-based flow control (DESIGN.md §10).
 // This file is the consumer half of the stream plane: the Stream handle, the
-// correlation-sharded stream table the reply pump dispatches into, and the
+// correlation-sharded stream table the reply hook dispatches into, and the
 // platform-edge open. Like the EDF lane and the credit window it stays off
 // the time package — every wait here is bounded by the caller's context,
 // and the open's deadline is stamped by the shared admit path.
@@ -36,7 +36,7 @@ var ErrStreamUnsupported = errors.New("core: streaming not supported by peer lin
 var ErrStreamClosed = errors.New("core: stream closed")
 
 // Stream is one in-flight server stream: one request, many correlated
-// server-push items. Items arrive through the client reply pump into a
+// server-push items. Items arrive through the client reply hook into a
 // ring sized to the credit window, so a Recv of a buffered item allocates
 // nothing; when the ring drains Recv blocks until the producer pushes or
 // the stream ends. The stream ends with io.EOF (clean), a typed error
@@ -65,7 +65,7 @@ type Stream struct {
 	notify   chan struct{} // capacity 1: wake the blocked consumer
 }
 
-// push accepts one item from the reply pump; it reports false when the
+// push accepts one item from the reply hook; it reports false when the
 // stream is gone (closed/ended) or the ring is full — a protocol violation
 // by the producer, since credit bounds in-flight items to the window — and
 // the caller counts the item as shed.
@@ -275,7 +275,7 @@ func (s *System) PendingStreams() int {
 	return s.clientStreams.outstanding()
 }
 
-// ShedStreamItems reports stream chunks dropped at the reply pump because
+// ShedStreamItems reports stream chunks dropped at the reply hook because
 // their stream was already closed (or its ring overrun by a misbehaving
 // producer). Together with Stream.Received it closes the conservation
 // ledger: every chunk a producer sent was either received or shed.

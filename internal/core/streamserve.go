@@ -27,9 +27,10 @@ type streamKey struct {
 }
 
 // mailboxFullRetry is how long a producer parks before re-offering a chunk
-// to a full consumer mailbox. Credit normally prevents this entirely (the
-// window bounds in-flight chunks well below mailbox capacity); the retry
-// loop only matters when unrelated traffic fills the shared client shard.
+// to a full consumer mailbox. A platform-edge consumer never has one — its
+// endpoint's reply hook takes each chunk at delivery — and credit bounds
+// in-flight chunks well below capacity anyway; the retry loop only matters
+// for a consumer endpoint that queues its replies.
 const mailboxFullRetry = 200 * time.Microsecond
 
 // streamProducer is one running server stream on the serve side. It

@@ -135,19 +135,16 @@ type System struct {
 	// the other still holds quiesced. Data-plane traffic never touches it.
 	reconfigMu sync.Mutex
 
-	clientMu      sync.Mutex // control plane: client endpoint lifecycle
 	clientEPs     atomic.Pointer[[]*bus.Endpoint]
 	clientCorr    atomic.Uint64
 	clientWaiters corrTable[chan connector.ReplyPayload]
 	// clientStreams is the correlation-sharded table of open server
-	// streams; the reply pump routes chunk and end payloads through it.
+	// streams; the reply hook routes chunk and end payloads through it.
 	clientStreams corrTable[*Stream]
 	// streamShed counts chunks that arrived for a stream the consumer had
 	// already closed (or whose ring a misbehaving producer overran) — the
 	// shed side of the conservation ledger sent == received + shed.
 	streamShed atomic.Uint64
-	clientWG   sync.WaitGroup
-	clientStop context.CancelFunc
 
 	// clients is the compiled client-binding table (see client.go): one
 	// canonical *Client per component name, created on first System.Client
@@ -157,9 +154,9 @@ type System struct {
 }
 
 // clientEndpoints is the size of the sharded platform edge: external calls
-// spread across this many bus endpoints (each with its own mailbox, route
-// lock and reply pump) so concurrent callers do not funnel their replies
-// through a single route. Power of two.
+// spread across this many bus endpoints (each with its own route lock and
+// reply hook) so concurrent callers do not funnel their replies through a
+// single route. Power of two.
 const clientEndpoints = 8
 
 // Assembly errors.
@@ -422,63 +419,50 @@ func (s *System) Start(ctx context.Context) error {
 }
 
 // startClient attaches the sharded external-caller endpoints used by Call.
+// No goroutine serves them: each endpoint's reply hook (deliverReply) hands
+// a reply straight to its waiter on the replying goroutine.
 func (s *System) startClient() error {
-	ctx, cancel := context.WithCancel(s.ctx)
 	eps := make([]*bus.Endpoint, clientEndpoints)
 	for i := range eps {
 		ep, err := s.bus.Attach(bus.Address(fmt.Sprintf("client:%s#%d", s.name, i)), s.mailbox)
 		if err != nil {
-			cancel()
 			return err
 		}
+		ep.SetReplyFunc(s.deliverReply)
 		eps[i] = ep
 	}
-	s.clientMu.Lock()
 	s.clientEPs.Store(&eps)
-	s.clientStop = cancel
-	s.clientMu.Unlock()
-	for _, ep := range eps {
-		ep := ep
-		s.clientWG.Add(1)
-		go func() {
-			defer s.clientWG.Done()
-			for {
-				m, err := ep.Receive(ctx)
-				if err != nil {
-					return
-				}
-				if m.Kind != bus.Reply {
-					continue
-				}
-				// Stream traffic dispatches on payload type before the
-				// unary waiter path: chunks look their stream up without
-				// taking it, the end takes it. The chunk envelope is
-				// released here, in the pump — the item has moved into the
-				// stream's ring, so the steady-state receive path recycles
-				// every envelope it leases.
-				switch pl := m.Payload.(type) {
-				case *connector.StreamItem:
-					if st, ok := s.clientStreams.lookup(m.Corr); ok && st.push(pl.Item) {
-						pl.Release()
-						continue
-					}
-					s.streamShed.Add(1)
-					pl.Release()
-					continue
-				case connector.StreamEndPayload:
-					if st, ok := s.clientStreams.take(m.Corr); ok {
-						st.finish(pl.Err, pl.Kind)
-					}
-					continue
-				}
-				if w, ok := s.clientWaiters.take(m.Corr); ok {
-					payload, _ := m.Payload.(connector.ReplyPayload)
-					w <- payload
-				}
-			}
-		}()
-	}
 	return nil
+}
+
+// deliverReply is the platform edge's reply hook. It runs under the client
+// endpoint's route lock and takes only a waiter-table shard lock or a
+// stream's lock beneath it (route → corr shard / Stream.mu); none of those
+// is ever held across a bus send. Stream traffic dispatches on payload type
+// before the unary waiter path: chunks look their stream up without taking
+// it, the end takes it. The chunk envelope is released here — the item has
+// moved into the stream's ring, so the steady-state receive path recycles
+// every envelope it leases. A unary reply is one take plus a send on the
+// waiter's buffered channel, which never blocks: the channel holds at most
+// the one signal its registration routes.
+func (s *System) deliverReply(m bus.Message) {
+	switch pl := m.Payload.(type) {
+	case *connector.StreamItem:
+		if st, ok := s.clientStreams.lookup(m.Corr); !ok || !st.push(pl.Item) {
+			s.streamShed.Add(1)
+		}
+		pl.Release()
+		return
+	case connector.StreamEndPayload:
+		if st, ok := s.clientStreams.take(m.Corr); ok {
+			st.finish(pl.Err, pl.Kind)
+		}
+		return
+	}
+	if w, ok := s.clientWaiters.take(m.Corr); ok {
+		payload, _ := m.Payload.(connector.ReplyPayload)
+		w <- payload
+	}
 }
 
 // Stop shuts everything down and waits for goroutines to exit.
@@ -502,10 +486,6 @@ func (s *System) Stop() {
 	s.mu.Unlock()
 
 	s.triggers.stop()
-	if s.clientStop != nil {
-		s.clientStop()
-	}
-	s.clientWG.Wait()
 	for _, rc := range comps {
 		rc.stop()
 	}

@@ -3,7 +3,7 @@ package qos
 import "sync/atomic"
 
 // Admission is a per-component queueing-delay estimator used for
-// deadline-aware admission control (DESIGN.md §9). The serve loop feeds it
+// deadline-aware admission control (DESIGN.md §9). The serve path feeds it
 // one observation per completed request (the measured service time, in
 // nanoseconds); callers ask, before committing any resources to a call,
 // whether the estimated wait in front of the component already exceeds the

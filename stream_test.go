@@ -206,7 +206,7 @@ func TestStreamWindowBoundsProducer(t *testing.T) {
 // producer's context and fails its credit window, so the handler returns
 // and the serving slot is reclaimed far inside the stream's deadline — and
 // the conservation ledger closes: every chunk the producer sent was either
-// received by the consumer or counted shed at the reply pump.
+// received by the consumer or counted shed at the reply hook.
 func TestStreamCancelReclaimsProducer(t *testing.T) {
 	sys, f := startFeed(t)
 	ctx := context.Background()
